@@ -4,7 +4,9 @@ Every cold cell resolves the coupled throughput/bus-utilization fixed point
 ``u = implied(u)``.  Bisection pays ~30 full model sweeps per grid to reach
 the 1e-9 tolerance; the safeguarded Newton/secant solver reaches the same
 points (equivalence ≤ 1e-9 is pinned by the fast tier in
-``tests/test_fixed_point.py``) in ~6.
+``tests/test_fixed_point.py``) in ~6.  The bisection runs are the machine
+with the reference ``fixedpoint._bisect_vector`` patched in place of its
+solver.
 
 Two ratchets are asserted on the cold NAS × DVFS sweep:
 
@@ -27,8 +29,11 @@ from __future__ import annotations
 import json
 import pathlib
 import time
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
+from _host import host_info
 
 from repro.machine import (
     CONFIG_4,
@@ -37,6 +42,8 @@ from repro.machine import (
     heterogeneous_ladders,
     standard_configurations,
 )
+from repro.machine import machine as machine_module
+from repro.machine.fixedpoint import _bisect_vector
 from repro.workloads import nas_suite
 
 _ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_fixed_point.json"
@@ -56,16 +63,25 @@ def _suite_works():
     return [phase.work for workload in suite for phase in workload.phases]
 
 
-def _cold_sweep_stats(works, configs, **machine_kwargs):
-    """Best-of-5 cold grid seconds plus the machine's model-sweep count."""
+def _cold_sweep_stats(works, configs, bisect=False, **machine_kwargs):
+    """Best-of-5 cold grid seconds plus the machine's model-sweep count.
+
+    ``bisect=True`` resolves the fixed point with the reference bisection.
+    """
     machine = Machine(noise_sigma=0.0, **machine_kwargs)
-    machine.execute_grid(works, configs, use_memo=False)  # warm buffers
-    machine.solver_iterations = machine.solver_evaluations = 0
-    machine.execute_grid(works, configs, use_memo=False)
-    evaluations = machine.solver_evaluations
-    seconds = _best_of(
-        5, lambda: machine.execute_grid(works, configs, use_memo=False)
+    solver = (
+        mock.patch.object(machine_module, "solve_fixed_point_vector", _bisect_vector)
+        if bisect
+        else nullcontext()
     )
+    with solver:
+        machine.execute_grid(works, configs, use_memo=False)  # warm buffers
+        machine.solver_iterations = machine.solver_evaluations = 0
+        machine.execute_grid(works, configs, use_memo=False)
+        evaluations = machine.solver_evaluations
+        seconds = _best_of(
+            5, lambda: machine.execute_grid(works, configs, use_memo=False)
+        )
     return seconds, evaluations
 
 
@@ -79,12 +95,8 @@ def test_newton_vs_bisect_cold_grid_throughput_and_artifact():
     works = _suite_works()
     cells = len(works) * len(configs)
 
-    newton_seconds, newton_evals = _cold_sweep_stats(
-        works, configs, fixed_point_solver="newton"
-    )
-    bisect_seconds, bisect_evals = _cold_sweep_stats(
-        works, configs, fixed_point_solver="bisect"
-    )
+    newton_seconds, newton_evals = _cold_sweep_stats(works, configs)
+    bisect_seconds, bisect_evals = _cold_sweep_stats(works, configs, bisect=True)
     # Zero-sweep baseline: with an (absurdly) loose tolerance every lane is
     # converged at the bracketing sweep, so this run pays the kernel's full
     # solver-independent cost — setup, gathers, breakdown/power grids, entry
@@ -98,18 +110,16 @@ def test_newton_vs_bisect_cold_grid_throughput_and_artifact():
     stage_speedup = bisect_stage / newton_stage
     grid_speedup = bisect_seconds / newton_seconds
 
-    # The heterogeneous per-core kernel shares the solver; record its ratio
-    # too (informational — the asserted floors are the homogeneous sweep).
+    # Per-core P-state ladders share the kernel and solver; record their
+    # ratio too (informational — the asserted floors are the homogeneous
+    # sweep).
     ladders = heterogeneous_ladders(CONFIG_4, machine.pstate_table)
-    hetero_newton, _ = _cold_sweep_stats(
-        works, ladders, fixed_point_solver="newton"
-    )
-    hetero_bisect, _ = _cold_sweep_stats(
-        works, ladders, fixed_point_solver="bisect"
-    )
+    hetero_newton, _ = _cold_sweep_stats(works, ladders)
+    hetero_bisect, _ = _cold_sweep_stats(works, ladders, bisect=True)
 
     artifact = {
-        "benchmark": "fixed_point_solver=newton vs bisect, cold execute_grid",
+        "benchmark": "newton vs reference bisection, cold execute_grid",
+        "host": host_info(),
         "sweep": "full NAS suite x placement x P-state cross-product",
         "tolerance": machine.fixed_point_tolerance,
         "homogeneous": {

@@ -28,6 +28,7 @@ import pathlib
 import time
 
 import pytest
+from _host import host_info
 
 from repro.cluster import Fleet, FleetJob, FleetScheduler, Node
 from repro.machine import Machine, WorkRequest, dual_socket_xeon
@@ -140,6 +141,7 @@ def test_memo_backed_fleet_replanning_beats_cold_simulation(tmp_path):
 
     artifact = {
         "benchmark": "fleet cap-sweep replanning: warm memo vs cold simulation",
+        "host": host_info(),
         "load": {
             "jobs": N_JOBS,
             "nodes": fleet.names(),

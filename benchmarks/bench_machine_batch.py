@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 import pytest
+from _host import host_info
 
 from repro.machine import (
     Machine,
@@ -125,6 +126,7 @@ def test_batch_execution_throughput_and_artifact():
 
     artifact = {
         "benchmark": "machine.execute_batch vs looped machine.execute",
+        "host": host_info(),
         "workload_phase": "SP/phase0",
         "dense_8core_24pstates": dense,
         "paper_quadcore_cross_product": paper,

@@ -8,8 +8,10 @@ placement × P-state cross-product — versus the same cells through one
 used before the grid rewiring).  The acceptance bar is a >= 3x speedup with
 numerical equivalence on the full sweep.
 
-The run also times the small-batch scalar short-circuit (cold 1-cell and
-15-cell sweeps with and without the cutoff) and the memo-warm grid, and
+The run also times both sides of the small-batch scalar short-circuit —
+cold 1-cell and 15-cell sweeps through the default path, against the same
+cells forced through the kernel (a memo-bypassing call always launches it)
+or through looped scalar ``execute`` calls — and the memo-warm grid, and
 writes ``BENCH_machine_grid.json`` at the repository root so the repo
 carries a perf trajectory artifact future PRs can diff against.
 
@@ -26,6 +28,7 @@ import time
 
 import numpy as np
 import pytest
+from _host import host_info
 
 from repro.machine import (
     CONFIG_4,
@@ -89,27 +92,41 @@ def test_grid_vs_per_phase_batch_throughput_and_artifact():
     warm_seconds = _best_of(3, lambda: machine.execute_grid(works, configs))
 
     # Small-batch cold latency on both sides of the short-circuit
-    # crossover: the dominant 1-cell shape (default = scalar path, vs
-    # forced kernel) and the paper's 15-cell cross-product (default =
-    # kernel, vs forced scalar path).
-    def cold_sweep(configurations, cutoff_kwargs) -> float:
+    # crossover: the dominant 1-cell shape (default = scalar path, vs the
+    # kernel forced by bypassing the memo) and the paper's 15-cell
+    # cross-product (default = kernel, vs the scalar path forced by
+    # looping execute()).
+    def cold_sweep(configurations, use_memo=True) -> float:
         best = float("inf")
         for _ in range(5):
-            fresh = Machine(noise_sigma=0.0, **cutoff_kwargs)
+            fresh = Machine(noise_sigma=0.0)
             fresh.execute_batch(works[0], configurations)
             fresh.clear_execution_memo()
             started = time.perf_counter()
-            fresh.execute_batch(works[0], configurations)
+            fresh.execute_batch(works[0], configurations, use_memo=use_memo)
             best = min(best, time.perf_counter() - started)
         return best
 
-    one_cell_scalar = cold_sweep([CONFIG_4], {})
-    one_cell_kernel = cold_sweep([CONFIG_4], {"small_batch_cutoff": 0})
-    paper_kernel = cold_sweep(configs, {})
-    paper_scalar = cold_sweep(configs, {"small_batch_cutoff": len(configs) + 1})
+    def scalar_loop(configurations) -> float:
+        best = float("inf")
+        for _ in range(5):
+            fresh = Machine(noise_sigma=0.0)
+            for config in configurations:
+                fresh.execute(works[0], config, apply_noise=False)
+            started = time.perf_counter()
+            for config in configurations:
+                fresh.execute(works[0], config, apply_noise=False)
+            best = min(best, time.perf_counter() - started)
+        return best
+
+    one_cell_scalar = cold_sweep([CONFIG_4])
+    one_cell_kernel = cold_sweep([CONFIG_4], use_memo=False)
+    paper_kernel = cold_sweep(configs)
+    paper_scalar = scalar_loop(configs)
 
     artifact = {
         "benchmark": "machine.execute_grid vs per-phase machine.execute_batch",
+        "host": host_info(),
         "sweep": "full NAS suite x placement x P-state cross-product",
         "grid_full_suite": {
             "works": len(works),

@@ -10,8 +10,8 @@ replaces — asserts the >= 3x floor after checking numerical equivalence,
 and writes ``BENCH_machine_hetero.json`` at the repository root so the repo
 carries a perf trajectory artifact future PRs can diff against.
 
-Cell-exact equivalence of the heterogeneous kernel against the scalar path
-(1e-12, including the mixed homogeneous/heterogeneous partition and the
+Cell-exact equivalence of heterogeneous grid cells against the scalar path
+(1e-12, including grids mixing homogeneous and heterogeneous rows and the
 noisy RNG stream) is pinned by the fast tier (``tests/test_machine_grid.py``
 / ``tests/test_machine_dvfs.py``); this file asserts the throughput claim.
 """
@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 import pytest
+from _host import host_info
 
 from repro.machine import (
     Machine,
@@ -84,8 +85,8 @@ def test_heterogeneous_grid_vs_scalar_throughput_and_artifact():
     grid_seconds = _best_of(3, grid)
     speedup = scalar_seconds / grid_seconds
 
-    # The enlarged (homogeneous + ladders) sweep through the partitioning
-    # dispatcher, plus a memo-warm repeat, for the trajectory artifact.
+    # The enlarged (homogeneous + ladders) sweep in one kernel launch, plus
+    # a memo-warm repeat, for the trajectory artifact.
     machine.execute_grid(works, enlarged)
     enlarged_cold_seconds = _best_of(
         3, lambda: machine.execute_grid(works, enlarged, use_memo=False)
@@ -97,6 +98,7 @@ def test_heterogeneous_grid_vs_scalar_throughput_and_artifact():
 
     artifact = {
         "benchmark": "heterogeneous Machine.execute_grid vs per-cell scalar execute",
+        "host": host_info(),
         "sweep": "full NAS suite x bounded per-core P-state ladders",
         "hetero_grid": {
             "works": len(works),

@@ -24,6 +24,7 @@ import pathlib
 import time
 
 import pytest
+from _host import host_info
 
 from repro.machine import Machine, dvfs_configurations, standard_configurations
 from repro.store import MemoStore
@@ -106,6 +107,7 @@ def test_store_warm_restart_skips_cold_cells(tmp_path):
     miss_ratio = cold_misses / max(warm_misses, 1)
     artifact = {
         "benchmark": "MemoStore warm restart vs cold process",
+        "host": host_info(),
         "sweep": "full NAS suite x placement x P-state cross-product",
         "cells": cells,
         "cold": {

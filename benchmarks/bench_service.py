@@ -28,6 +28,7 @@ import json
 import pathlib
 
 import pytest
+from _host import host_info
 
 from repro.core import PredictionCache, PredictorBundle, train_predictor_bundle
 from repro.machine import CONFIG_4, Machine
@@ -142,6 +143,7 @@ def test_service_sustains_batched_throughput_floor_and_artifact():
 
     artifact = {
         "benchmark": "adaptation service: micro-batched vs one-at-a-time serving",
+        "host": host_info(),
         "load": {
             "requests": N_REQUESTS,
             "concurrency": CONCURRENCY,

@@ -33,6 +33,7 @@ import os
 import pathlib
 
 import pytest
+from _host import host_info
 
 from repro.machine import Machine, WorkRequest
 from repro.service import (
@@ -191,6 +192,7 @@ def test_sharded_fleet_scales_and_compacts(tmp_path):
 
     artifact = {
         "benchmark": "sharded adaptation fleet: 4 shards vs 1 shard, cold grid load",
+        "host": host_info(),
         "load": {
             "requests": N_REQUESTS,
             "concurrency": CONCURRENCY,

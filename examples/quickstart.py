@@ -21,11 +21,10 @@ It then demonstrates the eight scaling features of the serving path:
   ``(work fingerprint, placement, P-state)`` so oracle building and
   training collection never simulate the same cell twice; every cold cell
   resolves its throughput/bus fixed point through a shared safeguarded
-  Newton/secant solver (``Machine(fixed_point_solver="newton"|"bisect")``,
-  default ``newton`` — same answers to ≤ 1e-9, ~5x fewer model sweeps),
-  whose cumulative cost is observable as the ``solver_iterations`` /
-  ``solver_evaluations`` counters on ``execution_memo_info()`` and in the
-  service ``cache_info()`` block;
+  Newton/secant solver (same answers as bisection to ≤ 1e-9, ~3x fewer
+  model sweeps), whose cumulative cost is observable as the
+  ``solver_iterations`` / ``solver_evaluations`` counters on
+  ``execution_memo_info()`` and in the service ``cache_info()`` block;
 * the **frequency axis (DVFS)** — ``Configuration`` is a placement ×
   frequency pair (``Configuration(name, placement, pstate)``, names like
   ``"2b@1.6GHz"``) or, for heterogeneous per-core P-states, a placement ×
@@ -204,13 +203,12 @@ def main() -> None:
     )
 
     #     Under the hood each cold cell resolves the coupled throughput/bus
-    #     fixed point with a shared safeguarded Newton/secant solver
-    #     (selectable per machine; `"bisect"` keeps the classical halving
-    #     loop, same answers to <= 1e-9).  The memo info carries cumulative
-    #     solver cost, so a production sweep can see what it spent:
+    #     fixed point with a shared safeguarded Newton/secant solver (same
+    #     answers as bisection to <= 1e-9).  The memo info carries
+    #     cumulative solver cost, so a production sweep can see what it
+    #     spent:
     print(
-        f"  fixed-point solver ({machine.fixed_point_solver}): "
-        f"{memo.solver_iterations} iterations, "
+        f"  fixed-point solver: {memo.solver_iterations} iterations, "
         f"{memo.solver_evaluations} model sweeps so far"
     )
 

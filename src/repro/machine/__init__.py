@@ -31,11 +31,7 @@ from .counters import (
 )
 from .cpu import CPIBreakdown, CPIBreakdownBatch, CPUModel
 from .dvfs import PState, PStateTable, default_pstate_table, format_frequency
-from .fixedpoint import (
-    FIXED_POINT_SOLVERS,
-    solve_fixed_point_scalar,
-    solve_fixed_point_vector,
-)
+from .fixedpoint import solve_fixed_point_scalar, solve_fixed_point_vector
 from .machine import (
     BatchExecutionResult,
     ExecutionMemoInfo,
@@ -110,7 +106,6 @@ __all__ = [
     "ExecutionMemoInfo",
     "ExecutionMemoSnapshot",
     "ExecutionResult",
-    "FIXED_POINT_SOLVERS",
     "GridExecutionResult",
     "Machine",
     "MemoryModel",

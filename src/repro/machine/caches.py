@@ -128,23 +128,6 @@ class CacheModel:
         ratio = solo + (self.max_miss_ratio - solo) * growth
         return min(self.max_miss_ratio, max(self.min_miss_ratio, ratio))
 
-    def miss_ratio_batch(
-        self, work: WorkRequest, capacity_mb: np.ndarray, occupants: np.ndarray
-    ) -> np.ndarray:
-        """Array-shaped :meth:`miss_ratio`: one evaluation per array element.
-
-        ``capacity_mb`` and ``occupants`` broadcast against each other; the
-        result has the broadcast shape.  A thin one-work view of
-        :meth:`miss_ratio_grid` (whose single shared row broadcasts across
-        every element), so both forms stay a single implementation.
-        """
-        return self.miss_ratio_grid(
-            [work],
-            np.zeros(1, dtype=np.intp),
-            np.asarray(capacity_mb, dtype=np.float64),
-            np.asarray(occupants, dtype=np.float64),
-        )
-
     def miss_ratio_grid(
         self,
         works: Sequence["WorkRequest"],
@@ -152,13 +135,14 @@ class CacheModel:
         capacity_mb: np.ndarray,
         occupants: np.ndarray,
     ) -> np.ndarray:
-        """Row-wise :meth:`miss_ratio_batch` over heterogeneous works.
+        """Array-shaped :meth:`miss_ratio`: one evaluation per grid element.
 
         ``works[work_rows[i]]`` characterizes row ``i`` of ``capacity_mb`` /
         ``occupants`` (whose leading axis is the row axis; a trailing thread
-        axis is allowed).  Per-work scalars become per-row columns, mirroring
-        the one-work batch formula operation for operation so a grid row
-        reproduces :meth:`miss_ratio_batch` to floating-point accuracy.
+        axis is allowed).  Per-work scalars become per-row columns, and the
+        arithmetic mirrors the scalar formula operation for operation so
+        every element reproduces :meth:`miss_ratio` to floating-point
+        accuracy.
         """
         capacity_mb = np.asarray(capacity_mb, dtype=np.float64)
         occupants = np.asarray(occupants, dtype=np.float64)

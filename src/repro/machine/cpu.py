@@ -185,34 +185,6 @@ class CPUModel:
             branch=branch_component,
         )
 
-    def breakdown_batch(
-        self,
-        work: WorkRequest,
-        l2_miss_ratio: np.ndarray,
-        memory_latency_cycles: np.ndarray,
-        l2_hit_latency_cycles: np.ndarray,
-        l1_hit_latency_cycles: np.ndarray,
-    ) -> CPIBreakdownBatch:
-        """Array-shaped :meth:`breakdown`: one CPI stack per array element.
-
-        All array arguments broadcast against each other (the machine layer
-        passes per-(configuration, thread) miss ratios and cache latencies
-        against a per-configuration memory latency column).  Inputs are
-        assumed valid — the batch path is fed by the machine model itself,
-        which already range-checked the work request and the topology.  A
-        thin one-work view of :meth:`breakdown_grid` (whose single shared
-        row broadcasts across every element), so both forms stay a single
-        implementation.
-        """
-        return self.breakdown_grid(
-            [work],
-            np.zeros(1, dtype=np.intp),
-            np.asarray(l2_miss_ratio, dtype=np.float64),
-            memory_latency_cycles,
-            l2_hit_latency_cycles,
-            l1_hit_latency_cycles,
-        )
-
     def breakdown_grid(
         self,
         works: Sequence[WorkRequest],
@@ -222,17 +194,19 @@ class CPUModel:
         l2_hit_latency_cycles: np.ndarray,
         l1_hit_latency_cycles: np.ndarray,
     ) -> CPIBreakdownBatch:
-        """Row-wise :meth:`breakdown_batch` over heterogeneous works.
+        """Array-shaped :meth:`breakdown`: one CPI stack per grid element.
 
         ``works[work_rows[i]]`` characterizes row ``i`` of the array
         arguments (leading row axis, optional trailing thread axis).
         Per-work scalars become per-row columns; the arithmetic mirrors the
-        one-work batch formula operation for operation so a grid row
-        reproduces :meth:`breakdown_batch` to floating-point accuracy.
+        scalar formula operation for operation so every element reproduces
+        :meth:`breakdown` to floating-point accuracy.  Inputs are assumed
+        valid — the grid path is fed by the machine model itself, which
+        already range-checked the work request and the topology.
         ``memory_latency_cycles`` may be a per-row column *or* a full
-        ``(rows, threads)`` matrix — the heterogeneous per-core P-state
-        kernel passes per-thread latencies, since each core converts the
-        same DRAM nanoseconds into its own clock's cycles.
+        ``(rows, threads)`` matrix — the machine kernel passes per-thread
+        latencies, since each core converts the same DRAM nanoseconds into
+        its own clock's cycles.
         """
         l2_miss_ratio = np.asarray(l2_miss_ratio, dtype=np.float64)
         rows = np.asarray(work_rows)

@@ -1,8 +1,8 @@
 """Safeguarded Newton/secant solver for the throughput/bus fixed point.
 
-Every execution path of the machine — the scalar :meth:`Machine.execute`,
-the homogeneous cell kernel and the heterogeneous per-core kernel — has to
-resolve the same one-dimensional self-consistency problem: the assumed bus
+Both execution paths of the machine — the scalar :meth:`Machine.execute`
+and the vectorized cell kernel — have to resolve the same one-dimensional
+self-consistency problem: the assumed bus
 utilization ``u`` determines the effective memory latency, latency
 determines per-thread throughput, and throughput determines the traffic
 that *implies* a bus utilization.  The map ``implied(u)`` is strictly
@@ -11,27 +11,26 @@ down, never speed them up), so ``g(u) = implied(u) - u`` is strictly
 decreasing with ``g(0) = implied(0) > 0``: the fixed point is unique and
 bracketed by ``[0, implied(0)]``.
 
-This module holds the one shared solver both the scalar paths and the
-vectorized kernels use:
+This module holds the one shared solver both paths use: a *safeguarded*
+secant/Newton iteration.  Each step extrapolates the root from the last
+two evaluations and falls back to the bisection midpoint whenever the
+secant step would leave the current bracket (or the secant is degenerate).
+Because ``g`` is smooth and monotone the secant converges superlinearly —
+typically 4–8 evaluations to ``|g| < 1e-9`` where bisection needs ~30 —
+while the bracket safeguard keeps it exactly as robust as pure bisection.
+The pure bisection (``_bisect_scalar`` / ``_bisect_vector``) stays here as
+the reference implementation: it has the same signature as the public
+solvers, so tests and benchmarks patch it in to check agreement and to
+measure the secant's gain.
 
-* ``"newton"`` (the default) — a *safeguarded* secant/Newton iteration:
-  each step extrapolates the root from the last two evaluations and falls
-  back to the bisection midpoint whenever the secant step would leave the
-  current bracket (or the secant is degenerate).  Because ``g`` is smooth
-  and monotone the secant converges superlinearly — typically 4–8
-  evaluations to ``|g| < 1e-9`` where bisection needs ~30 — while the
-  bracket safeguard keeps it exactly as robust as pure bisection.
-* ``"bisect"`` — the original pure bisection on ``g``, kept selectable for
-  equivalence testing and as the conservative fallback.
-
-Both methods exist in a scalar form (one cell at a time, used by
+The solver exists in a scalar form (one cell at a time, used by
 :meth:`Machine.execute`) and a vectorized form (one lane per grid cell,
 with an ``active`` mask so converged lanes retire early and *freeze* their
 operating point — subsequent sweeps recompute the frozen lanes at their
-final ``u`` bit for bit, exactly like the pre-solver bisection kernels
-froze a converged lane's bracket).  The vectorized iteration applies the
-same step rule lane-wise as the scalar iteration, so a one-lane solve
-reproduces the scalar trajectory to floating-point accuracy.
+final ``u`` bit for bit, exactly like the bisection freezes a converged
+lane's bracket).  The vectorized iteration applies the same step rule
+lane-wise as the scalar iteration, so a one-lane solve reproduces the
+scalar trajectory to floating-point accuracy.
 
 Iteration/evaluation counts are returned to the caller;
 :class:`~repro.machine.machine.Machine` accumulates them and surfaces the
@@ -46,24 +45,9 @@ from typing import Any, Callable, Tuple
 import numpy as np
 
 __all__ = [
-    "FIXED_POINT_SOLVERS",
     "solve_fixed_point_scalar",
     "solve_fixed_point_vector",
-    "validate_solver",
 ]
-
-#: The selectable solver methods (``Machine(fixed_point_solver=...)``).
-FIXED_POINT_SOLVERS: Tuple[str, ...] = ("newton", "bisect")
-
-
-def validate_solver(solver: str) -> str:
-    """Validate a solver name, returning it unchanged."""
-    if solver not in FIXED_POINT_SOLVERS:
-        raise ValueError(
-            f"unknown fixed_point_solver {solver!r}; "
-            f"expected one of {FIXED_POINT_SOLVERS}"
-        )
-    return solver
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +59,6 @@ def solve_fixed_point_scalar(
     payload0: Any,
     tolerance: float,
     max_iterations: int,
-    solver: str = "newton",
 ) -> Tuple[Any, int, int]:
     """Solve ``u = implied(u)`` for one cell.
 
@@ -97,41 +80,13 @@ def solve_fixed_point_scalar(
         within ``tol`` of ``u``.
     max_iterations:
         Evaluation budget; on exhaustion the last evaluated point wins.
-    solver:
-        ``"newton"`` or ``"bisect"``.
 
     Returns ``(payload, iterations, evaluations)`` where ``evaluations``
     counts the calls to ``evaluate`` made *here* (the caller's ``u = 0``
     probe is not included).
     """
-    if solver == "bisect":
-        return _bisect_scalar(evaluate, implied0, payload0, tolerance, max_iterations)
-    return _newton_scalar(evaluate, implied0, payload0, tolerance, max_iterations)
-
-
-def _bisect_scalar(evaluate, implied0, payload0, tolerance, max_iterations):
-    # The original loop, verbatim: always evaluate the midpoint, break on
-    # |g| < tol, keep the last evaluation's payload.
-    low, high = 0.0, implied0
-    payload = payload0
-    iterations = 0
-    for _ in range(max_iterations):
-        mid = 0.5 * (low + high)
-        implied, payload = evaluate(mid)
-        iterations += 1
-        if abs(implied - mid) < tolerance:
-            break
-        if implied > mid:
-            low = mid
-        else:
-            high = mid
-    return payload, iterations, iterations
-
-
-def _newton_scalar(evaluate, implied0, payload0, tolerance, max_iterations):
     # Bracket: g(0) = implied0 > 0; evaluate the top to close it.
-    low, g_low = 0.0, implied0
-    high = implied0
+    low, high = 0.0, implied0
     implied, payload = evaluate(high)
     evaluations = 1
     g_high = implied - high
@@ -169,6 +124,28 @@ def _newton_scalar(evaluate, implied0, payload0, tolerance, max_iterations):
     return payload, evaluations, evaluations
 
 
+def _bisect_scalar(evaluate, implied0, payload0, tolerance, max_iterations):
+    """Reference pure bisection with the contract of :func:`solve_fixed_point_scalar`.
+
+    Always evaluates the bracket midpoint, breaks on ``|g| < tol`` and keeps
+    the last evaluation's payload.
+    """
+    low, high = 0.0, implied0
+    payload = payload0
+    iterations = 0
+    for _ in range(max_iterations):
+        mid = 0.5 * (low + high)
+        implied, payload = evaluate(mid)
+        iterations += 1
+        if abs(implied - mid) < tolerance:
+            break
+        if implied > mid:
+            low = mid
+        else:
+            high = mid
+    return payload, iterations, iterations
+
+
 # ----------------------------------------------------------------------
 # vectorized form
 # ----------------------------------------------------------------------
@@ -177,7 +154,6 @@ def solve_fixed_point_vector(
     implied0: np.ndarray,
     tolerance: float,
     max_iterations: int,
-    solver: str = "newton",
 ) -> Tuple[int, int]:
     """Solve ``u = implied(u)`` for every lane of a cell kernel.
 
@@ -186,41 +162,13 @@ def solve_fixed_point_vector(
     the solver guarantees the *last* sweep evaluated every lane at its
     final operating point: converged and initially-inactive lanes keep
     their ``u`` frozen, so recomputing them reproduces their converged
-    state bit for bit (the same contract the pre-solver bisection kernels
-    honoured by freezing a converged lane's bracket).
+    state bit for bit (the same contract the bisection honours by freezing
+    a converged lane's bracket).
 
     Lanes with ``implied0 <= tolerance`` never activate and stay at
     ``u = 0``.  Returns ``(iterations, evaluations)`` — sweeps performed
     here, excluding the caller's ``u = 0`` sweep.
     """
-    if solver == "bisect":
-        return _bisect_vector(evaluate, implied0, tolerance, max_iterations)
-    return _newton_vector(evaluate, implied0, tolerance, max_iterations)
-
-
-def _bisect_vector(evaluate, implied0, tolerance, max_iterations):
-    # The original simultaneous bisection, verbatim: inactive lanes keep
-    # low == high so their midpoint (and therefore their sweep state)
-    # freezes; the loop retires when every lane has converged.
-    n_rows = implied0.shape[0]
-    active = implied0 > tolerance
-    low = np.zeros(n_rows)
-    high = np.where(active, implied0, 0.0)
-    iterations = 0
-    for _ in range(max_iterations):
-        if not active.any():
-            break
-        mid = 0.5 * (low + high)
-        implied = evaluate(mid)
-        iterations += 1
-        active = active & ~(np.abs(implied - mid) < tolerance)
-        go_low = active & (implied > mid)
-        low = np.where(go_low, mid, low)
-        high = np.where(active & ~go_low, mid, high)
-    return iterations, iterations
-
-
-def _newton_vector(evaluate, implied0, tolerance, max_iterations):
     n_rows = implied0.shape[0]
     active = implied0 > tolerance
     if not active.any():
@@ -270,4 +218,30 @@ def _newton_vector(evaluate, implied0, tolerance, max_iterations):
         u_cur = np.where(active, u, u_cur)
         g_cur = np.where(active, g, g_cur)
         active = still
+    return iterations, iterations
+
+
+def _bisect_vector(evaluate, implied0, tolerance, max_iterations):
+    """Reference simultaneous bisection with the contract of
+    :func:`solve_fixed_point_vector`.
+
+    Inactive lanes keep ``low == high`` so their midpoint (and therefore
+    their sweep state) freezes; the loop retires when every lane has
+    converged.
+    """
+    n_rows = implied0.shape[0]
+    active = implied0 > tolerance
+    low = np.zeros(n_rows)
+    high = np.where(active, implied0, 0.0)
+    iterations = 0
+    for _ in range(max_iterations):
+        if not active.any():
+            break
+        mid = 0.5 * (low + high)
+        implied = evaluate(mid)
+        iterations += 1
+        active = active & ~(np.abs(implied - mid) < tolerance)
+        go_low = active & (implied > mid)
+        low = np.where(go_low, mid, low)
+        high = np.where(active & ~go_low, mid, high)
     return iterations, iterations

@@ -31,19 +31,20 @@ training-data collection share it automatically.  The memo travels across
 processes as a picklable snapshot (:meth:`Machine.export_execution_memo` /
 :meth:`Machine.merge_execution_memo`), survives process restarts on disk
 (:meth:`Machine.save_execution_memo` / :meth:`Machine.load_execution_memo`),
-and calls with only a handful of cold cells skip the kernel's fixed setup
-cost through the memoized scalar path (``small_batch_cutoff``).
+and calls with fewer than ``DEFAULT_SMALL_BATCH_CUTOFF`` cold cells skip the
+kernel's fixed setup cost through the memoized scalar path.
 
 Configurations may pin **heterogeneous per-core P-states**
 (``Configuration(pstate_vector=...)``, names like
 ``"4@2.4/2.4/1.6/1.6GHz"``): each core runs at its own clock, the parallel
-critical path is the slowest thread in wall-clock seconds, serial and
-synchronization portions ride the master (thread-0) core, and bus traffic
-is resolved in per-nanosecond units.  Heterogeneous cells run through their
-own vectorized kernel, dispatched row-by-row next to the homogeneous one,
-and agree with the scalar path to floating-point accuracy; all-equal
-vectors collapse to the homogeneous representation at construction, so the
-degenerate case is *bit-identical* to the paper's configurations.
+critical path is the slowest thread, and serial and synchronization
+portions ride the master (thread-0) core.  There is one scalar path and one
+vectorized kernel, both written for per-core clocks; a homogeneous
+configuration enters them as an all-equal clock vector.  Bus traffic is
+counted per cycle of a reference clock (the shared clock of a homogeneous
+configuration, 1 GHz — per-nanosecond units — otherwise) and time in
+master-clock cycles, so every clock ratio a homogeneous configuration sees
+is exactly 1.0 and its results are *bit-identical* to a one-clock model.
 
 Executing a phase under a placement proceeds in four steps:
 
@@ -70,7 +71,6 @@ import os
 import pickle
 import tempfile
 from collections import OrderedDict
-from time import perf_counter
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import (
@@ -89,12 +89,7 @@ import numpy as np
 from .caches import CacheModel
 from .cpu import CPIBreakdown, CPUModel
 from .dvfs import PState, PStateTable, default_pstate_table
-from .fixedpoint import (
-    FIXED_POINT_SOLVERS,
-    solve_fixed_point_scalar,
-    solve_fixed_point_vector,
-    validate_solver,
-)
+from .fixedpoint import solve_fixed_point_scalar, solve_fixed_point_vector
 from .memory import BusState, MemoryModel
 from .placement import (
     Configuration,
@@ -122,22 +117,13 @@ _SYNC_INSTRUCTIONS_PER_BARRIER = 400.0
 
 #: Below this many cold (not-yet-memoized) cells, ``execute_batch`` /
 #: ``execute_grid`` serve the cells through the memoized scalar path instead
-#: of launching the vectorized kernel.  The kernel's fixed setup cost is
-#: ~0.6 ms against ~0.15 ms per scalar cell (see
-#: ``BENCH_machine_grid.json``), putting the measured crossover near six
-#: cells — so 1-cell sample probes skip the setup cost while the paper's
-#: 15-cell cross-product stays on the kernel.  The memo makes the scalar
-#: detour a one-time cost per cell either way.
+#: of launching the vectorized kernel.  The kernel costs ~0.46 ms of fixed
+#: setup plus ~20 µs per cell, against 80–180 µs per scalar cell (2-core
+#: x86-64 VM, NumPy 2.4; see ``BENCH_machine_grid.json``), putting the
+#: crossover near six cells — so 1-cell sample probes skip the setup cost
+#: while the paper's 15-cell cross-product stays on the kernel.  The memo
+#: makes the scalar detour a one-time cost per cell either way.
 DEFAULT_SMALL_BATCH_CUTOFF = 6
-
-#: Cells in the larger of the two kernel launches ``small_batch_cutoff="auto"``
-#: times to split the kernel's cost into fixed setup and per-cell slope.
-_CALIBRATION_CELLS = 16
-
-#: Calibrated cutoffs are clamped to this range: at least 1 (a cutoff of 1
-#: disables the short-circuit — ``0 < cold < 1`` never holds), at most 64
-#: (beyond that a mis-measured scalar path would starve the kernel).
-_CALIBRATION_CUTOFF_RANGE = (1, 64)
 
 
 @dataclass(frozen=True)
@@ -372,20 +358,23 @@ class ExecutionMemoSnapshot:
         return frozenset(key for key, _ in self.cells)
 
 
-class _PlacementStatic(NamedTuple):
-    """Topology-derived per-placement constants, cached per machine."""
+class _ConfigStatic(NamedTuple):
+    """Kernel constants of one configuration, cached per machine.
 
-    cores: Tuple[int, ...]
+    ``threads`` has one row per per-thread input — L1 and L2 hit latency,
+    L2 domain size and occupants, core clock, bus ratio (clock / bus
+    reference clock), time ratio (master clock / clock), DVFS frequency and
+    voltage scale — which the kernel pads to a common width and gathers out
+    to cells in one step.  ``scalars`` holds the thread count, the bus
+    reference clock, the f·V² scale of the shared cache/uncore domains, the
+    master core's L2 size and L1/L2 hit latencies (serial portion) and the
+    number of active L2 domains.  Both clock ratios are exactly 1.0 on a
+    homogeneous configuration.
+    """
+
     n: int
-    l1_hit: np.ndarray
-    l2_hit: np.ndarray
-    capacity_mb: np.ndarray
-    occupants: np.ndarray
-    active_caches: int
-    serial_capacity_mb: float
-    serial_l1_hit: float
-    serial_l2_hit: float
-    nominal_frequency_ghz: float
+    threads: np.ndarray
+    scalars: Tuple[float, ...]
 
 
 class _ExecutionArrays:
@@ -686,15 +675,6 @@ class Machine:
         Convergence threshold on ``|implied(u) - u|`` of the fixed point
         (because the map is monotone decreasing, this also bounds the
         distance to the true root).
-    fixed_point_solver:
-        ``"newton"`` (default) — the safeguarded Newton/secant iteration of
-        :mod:`repro.machine.fixedpoint`, superlinearly convergent and as
-        robust as bisection (every step stays inside the bracket) — or
-        ``"bisect"``, the pure bisection kept for equivalence testing and
-        as a conservative fallback.  Both modes produce the same memo keys
-        and hit/miss accounting; solver cost is tracked in
-        ``solver_iterations`` / ``solver_evaluations`` and surfaced via
-        :meth:`execution_memo_info`.
     memo_size:
         Capacity (in cells) of the machine's noise-free execution memo,
         used by :meth:`execute_batch` and :meth:`execute_grid`; ``0``
@@ -702,17 +682,15 @@ class Machine:
         (two machines built with different noise/power/CPU parameters never
         share cached cells) unless snapshots are exchanged explicitly via
         :meth:`export_execution_memo` / :meth:`merge_execution_memo`.
-    small_batch_cutoff:
-        When a batched/grid call has fewer cold cells than this, the cells
-        are served through the memoized scalar path instead of the
-        vectorized kernel — the kernel's fixed setup cost only amortizes
-        across enough cells, and the dominant small-batch use (one sample
-        cell per phase) is ~5x faster scalar.  ``0`` disables the
-        short-circuit.  Only applies when the memo is active (noise-free,
-        ``use_memo=True``); memo-bypassing calls always use the kernel.
-        Pass ``"auto"`` to measure the actual scalar-vs-kernel crossover on
-        this host once, lazily at the first batched call (the resolved
-        integer then replaces the ``"auto"`` marker on the attribute).
+
+    The fixed point is resolved by the safeguarded Newton/secant solver of
+    :mod:`repro.machine.fixedpoint`; its cost is tracked in
+    ``solver_iterations`` / ``solver_evaluations`` and surfaced via
+    :meth:`execution_memo_info`.  Batched/grid calls with fewer than
+    ``DEFAULT_SMALL_BATCH_CUTOFF`` cold cells are served through the
+    memoized scalar path instead of the vectorized kernel, whose fixed
+    setup cost only amortizes across enough cells; memo-bypassing calls
+    always use the kernel.
     """
 
     def __init__(
@@ -727,9 +705,7 @@ class Machine:
         seed: int = 20070917,
         fixed_point_iterations: int = 48,
         fixed_point_tolerance: float = 1e-9,
-        fixed_point_solver: str = "newton",
         memo_size: int = 4096,
-        small_batch_cutoff: Union[int, str] = DEFAULT_SMALL_BATCH_CUTOFF,
     ) -> None:
         self.topology = topology or quad_core_xeon()
         self.pstate_table = pstate_table or default_pstate_table(
@@ -745,28 +721,18 @@ class Machine:
             raise ValueError("noise_sigma must be non-negative")
         if memo_size < 0:
             raise ValueError("memo_size must be non-negative")
-        if isinstance(small_batch_cutoff, str):
-            if small_batch_cutoff != "auto":
-                raise ValueError(
-                    f"small_batch_cutoff must be a non-negative int or "
-                    f"'auto', got {small_batch_cutoff!r}"
-                )
-        elif small_batch_cutoff < 0:
-            raise ValueError("small_batch_cutoff must be non-negative")
         self.noise_sigma = noise_sigma
         self._rng = np.random.default_rng(seed)
         self.fixed_point_iterations = fixed_point_iterations
         self.fixed_point_tolerance = fixed_point_tolerance
-        self.fixed_point_solver = validate_solver(fixed_point_solver)
         self.memo_size = memo_size
-        self.small_batch_cutoff = small_batch_cutoff
         self._memo: "OrderedDict[tuple, _CellEntry]" = OrderedDict()
         self._memo_hits = 0
         self._memo_misses = 0
         self._merged_hits = 0
         self._merged_misses = 0
         self._validated_placements: set = set()
-        self._placement_statics: Dict[Tuple[int, ...], _PlacementStatic] = {}
+        self._config_statics: Dict[Configuration, _ConfigStatic] = {}
         #: Number of :meth:`execute_batch` calls / cells served / cells that
         #: were actually simulated (by either vectorized kernel or the
         #: small-batch scalar short-circuit; the remainder came from the memo).
@@ -777,7 +743,7 @@ class Machine:
         self.grid_calls = 0
         self.grid_cells = 0
         #: Number of batched/grid calls whose cold cells were served through
-        #: the memoized scalar path (see ``small_batch_cutoff``).
+        #: the memoized scalar path (see ``DEFAULT_SMALL_BATCH_CUTOFF``).
         self.small_batch_shortcircuits = 0
         #: Fixed-point solver cost: steps taken and model evaluations
         #: (scalar ``implied(u)`` probes or full-width kernel sweeps)
@@ -812,47 +778,13 @@ class Machine:
     # ------------------------------------------------------------------
     # fixed point between CPU throughput and bus latency
     # ------------------------------------------------------------------
-    def _demand_at(
-        self,
-        work: WorkRequest,
-        placement: ThreadPlacement,
-        miss_ratios: Sequence[float],
-        assumed_utilization: float,
-        frequency_ghz: Optional[float] = None,
-    ) -> tuple[List[CPIBreakdown], float]:
-        """Per-thread CPI and aggregate traffic assuming a bus utilization."""
-        line_bytes = self._line_bytes()
-        l1_misses_per_instr = work.mem_fraction * work.l1_miss_rate
-        latency = self.memory_model.effective_latency_cycles(
-            assumed_utilization,
-            prefetch_friendliness=work.prefetch_friendliness,
-            frequency_ghz=frequency_ghz,
-            active_requestors=placement.num_threads,
-        )
-        breakdowns: List[CPIBreakdown] = []
-        demand_bytes_per_cycle = 0.0
-        for core_id, miss_ratio in zip(placement.cores, miss_ratios):
-            core = self.topology.core(core_id)
-            cache = self.topology.cache_of(core_id)
-            bd = self.cpu_model.breakdown(
-                work,
-                core,
-                l2_miss_ratio=miss_ratio,
-                memory_latency_cycles=latency,
-                l2_hit_latency_cycles=cache.hit_latency_cycles,
-            )
-            breakdowns.append(bd)
-            # traffic: L2 misses per instruction * instructions per cycle
-            l2_misses_per_instr = l1_misses_per_instr * miss_ratio
-            demand_bytes_per_cycle += l2_misses_per_instr * bd.ipc * line_bytes
-        return breakdowns, demand_bytes_per_cycle
-
     def _resolve_parallel(
         self,
         work: WorkRequest,
         placement: ThreadPlacement,
-        frequency_ghz: Optional[float] = None,
-        miss_ratios: Optional[List[float]] = None,
+        frequencies_ghz: Sequence[float],
+        reference_ghz: float,
+        miss_ratios: Sequence[float],
     ) -> tuple[List[CPIBreakdown], BusState]:
         """Resolve self-consistent per-thread CPI and bus state.
 
@@ -862,27 +794,57 @@ class Machine:
         traffic demand.  The map from assumed to implied utilization is
         therefore monotonically decreasing, so the fixed point is unique,
         bracketed by ``[0, implied(0)]``, and resolved by the shared
-        safeguarded solver (:mod:`repro.machine.fixedpoint`) — a bracketed
-        Newton/secant iteration by default, pure bisection with
-        ``fixed_point_solver="bisect"``.
+        safeguarded Newton/secant solver (:mod:`repro.machine.fixedpoint`).
 
-        At a reduced clock (``frequency_ghz`` below nominal) the same DRAM
-        nanoseconds cost fewer core cycles and the bus delivers more bytes
-        per cycle, so both the latency and the capacity side of the fixed
+        Each core runs at its own clock ``frequencies_ghz[t]``.  A thread
+        sees the unloaded DRAM nanoseconds converted into its *own* core
+        cycles, so fast cores pay more latency cycles per miss than slow
+        ones — the asymmetry heterogeneous ladders exploit; the latency is
+        computed once per distinct clock.  Bus demand, capacity and the
+        returned :class:`BusState` are expressed per cycle of
+        ``reference_ghz`` (a thread at ``f`` retiring ``ipc`` instructions
+        per cycle contributes ``bytes/cycle · f / reference_ghz``).  With
+        one shared clock as the reference every ratio is exactly 1.0; at a
+        reduced clock the same DRAM nanoseconds cost fewer core cycles and
+        the bus delivers more bytes per cycle, so both sides of the fixed
         point shift in the memory system's favour.
         """
-        if miss_ratios is None:
-            miss_ratios = self.cache_model.per_thread_miss_ratios(work, placement)
         line_bytes = self._line_bytes()
-        n_requestors = placement.num_threads
+        n = placement.num_threads
         capacity = self.memory_model.effective_capacity_bytes_per_cycle(
-            n_requestors, frequency_ghz
+            n, reference_ghz
         )
+        l1_misses_per_instr = work.mem_fraction * work.l1_miss_rate
+        clocks = list(dict.fromkeys(frequencies_ghz))
+        threads = [
+            (
+                self.topology.core(core_id),
+                self.topology.cache_of(core_id).hit_latency_cycles,
+                miss_ratio,
+                l1_misses_per_instr * miss_ratio,
+                clocks.index(f),
+                f / reference_ghz,
+            )
+            for core_id, miss_ratio, f in zip(
+                placement.cores, miss_ratios, frequencies_ghz
+            )
+        ]
+        latency_cycles = self.memory_model.effective_latency_cycles
+        breakdown = self.cpu_model.breakdown
 
         def evaluate(assumed: float):
-            breakdowns, demand = self._demand_at(
-                work, placement, miss_ratios, assumed, frequency_ghz
-            )
+            latencies = []
+            for f in clocks:
+                latencies.append(
+                    latency_cycles(assumed, work.prefetch_friendliness, f, n)
+                )
+            breakdowns: List[CPIBreakdown] = []
+            demand = 0.0
+            for core, l2_hit, miss_ratio, l2_misses, clock, bus_ratio in threads:
+                bd = breakdown(work, core, miss_ratio, latencies[clock], l2_hit)
+                breakdowns.append(bd)
+                # traffic: L2 misses per instruction * instructions per cycle
+                demand += l2_misses * bd.ipc * line_bytes * bus_ratio
             implied = demand / capacity if capacity > 0 else 0.0
             return implied, (breakdowns, demand)
 
@@ -896,15 +858,14 @@ class Machine:
                 (breakdowns, demand),
                 self.fixed_point_tolerance,
                 self.fixed_point_iterations,
-                self.fixed_point_solver,
             )
             self.solver_iterations += iterations
             self.solver_evaluations += evaluations
         bus_state = self.memory_model.resolve(
             demand,
-            frequency_ghz=frequency_ghz,
+            frequency_ghz=reference_ghz,
             line_bytes=line_bytes,
-            active_requestors=n_requestors,
+            active_requestors=n,
         )
         return breakdowns, bus_state
 
@@ -912,19 +873,16 @@ class Machine:
         self, work: WorkRequest, core_id: int, frequency_ghz: Optional[float] = None
     ) -> CPIBreakdown:
         """CPI of the serial portion: one thread with a whole L2 to itself."""
-        solo_placement = ThreadPlacement((core_id,))
-        miss_ratio = self.cache_model.per_thread_miss_ratios(work, solo_placement)[0]
+        cache = self.topology.cache_of(core_id)
         latency = self.memory_model.effective_latency_cycles(
             0.0,
             prefetch_friendliness=work.prefetch_friendliness,
             frequency_ghz=frequency_ghz,
         )
-        core = self.topology.core(core_id)
-        cache = self.topology.cache_of(core_id)
         return self.cpu_model.breakdown(
             work,
-            core,
-            l2_miss_ratio=miss_ratio,
+            self.topology.core(core_id),
+            l2_miss_ratio=self.cache_model.miss_ratio(work, cache.size_mb, 1),
             memory_latency_cycles=latency,
             l2_hit_latency_cycles=cache.hit_latency_cycles,
         )
@@ -1002,6 +960,14 @@ class Machine:
             nominal clock.  A *sequence* of P-states (one per thread slot,
             in placement order) runs each core at its own clock; an
             all-equal sequence is exactly the homogeneous execution.
+
+        With per-core clocks the parallel critical path is the slowest
+        thread, ``instructions · CPI · f_master / f_thread`` in master-core
+        cycles; the serial portion and the barrier synchronization execute
+        on the master (thread-0) core, and reported ``cycles`` / ``ipc``
+        are expressed in its clock.  Bus traffic is resolved per cycle of
+        the shared clock, or of a 1 GHz reference (per nanosecond) when
+        the cores disagree (see :meth:`_resolve_parallel`).
         """
         if isinstance(placement, Configuration):
             if pstate is None:
@@ -1013,35 +979,37 @@ class Machine:
             placement = placement.placement
         self._validate_placement(placement)
         pstate, pstate_vector = self._normalize_pstates(placement, pstate)
-        if pstate_vector is not None:
-            return self._execute_heterogeneous(
-                work, placement, pstate_vector, apply_noise
-            )
-
         n = placement.num_threads
-        frequency_ghz = self._frequency_ghz(placement, pstate)
-        freq_hz = frequency_ghz * 1e9
+        if pstate_vector is None:
+            reference_ghz = self._frequency_ghz(placement, pstate)
+            frequencies = (reference_ghz,) * n
+        else:
+            reference_ghz = 1.0
+            frequencies = tuple(p.frequency_ghz for p in pstate_vector)
+        master_ghz = frequencies[0]
 
         # --- parallel portion -----------------------------------------
         miss_ratios = self.cache_model.per_thread_miss_ratios(work, placement)
         breakdowns, bus_state = self._resolve_parallel(
-            work, placement, frequency_ghz, miss_ratios
+            work, placement, frequencies, reference_ghz, miss_ratios
         )
         parallel_instructions = work.instructions * (1.0 - work.serial_fraction)
         per_thread_instr = parallel_instructions / n
         critical_instr = per_thread_instr * (work.load_imbalance if n > 1 else 1.0)
-        # Critical-path thread: the slowest CPI among threads governs time.
-        critical_cpi = max(bd.total for bd in breakdowns)
-        parallel_cycles = critical_instr * critical_cpi
+        # Critical-path thread: the slowest thread, in master-clock cycles.
+        parallel_cycles = max(
+            critical_instr * bd.total * (master_ghz / f)
+            for bd, f in zip(breakdowns, frequencies)
+        )
 
-        # --- serial portion --------------------------------------------
+        # --- serial portion (master core) -------------------------------
         serial_instructions = work.instructions * work.serial_fraction
         serial_cycles = 0.0
         if serial_instructions > 0:
-            serial_bd = self._resolve_serial(work, placement.cores[0], frequency_ghz)
+            serial_bd = self._resolve_serial(work, placement.cores[0], master_ghz)
             serial_cycles = serial_instructions * serial_bd.total
 
-        # --- synchronization --------------------------------------------
+        # --- synchronization (master core) ------------------------------
         sync_cycles = 0.0
         sync_instructions = 0.0
         if n > 1 and work.barriers > 0:
@@ -1057,7 +1025,7 @@ class Machine:
             total_cycles *= jitter
 
         total_instructions = work.instructions + sync_instructions
-        time_seconds = total_cycles / freq_hz
+        time_seconds = total_cycles / (master_ghz * 1e9)
         ipc = total_instructions / total_cycles if total_cycles > 0 else 0.0
 
         # --- power -------------------------------------------------------
@@ -1066,7 +1034,7 @@ class Machine:
             thread_ipcs=[bd.ipc for bd in breakdowns],
             stall_fractions=[bd.stall_fraction for bd in breakdowns],
             bus_utilization=bus_state.utilization,
-            pstate=pstate,
+            pstate=pstate if pstate_vector is None else pstate_vector,
         )
 
         events = self._event_counts(
@@ -1091,19 +1059,11 @@ class Machine:
             power=power,
             event_counts=events,
             pstate=pstate,
-            frequency_ghz=frequency_ghz,
+            frequency_ghz=master_ghz,
             miss_ratios=tuple(miss_ratios),
+            pstates=pstate_vector,
         )
 
-    def execute_config(
-        self, work: WorkRequest, configuration: Configuration, apply_noise: bool = True
-    ) -> ExecutionResult:
-        """Execute a phase under a named configuration (thin wrapper)."""
-        return self.execute(work, configuration, apply_noise=apply_noise)
-
-    # ------------------------------------------------------------------
-    # heterogeneous per-core P-states (scalar path)
-    # ------------------------------------------------------------------
     @staticmethod
     def _normalize_pstates(
         placement: ThreadPlacement, pstate: PState | Sequence[PState] | None
@@ -1111,8 +1071,8 @@ class Machine:
         """Split a P-state argument into ``(scalar, vector)`` canonical form.
 
         An all-equal vector collapses to its scalar state — the degenerate
-        heterogeneous case *is* the homogeneous execution, taken through
-        the homogeneous code path so it reproduces it exactly.
+        heterogeneous case *is* the homogeneous execution, keyed, reported
+        and powered exactly like it.
         """
         if pstate is None or isinstance(pstate, PState):
             return pstate, None
@@ -1125,184 +1085,6 @@ class Machine:
         if len(set(vector)) == 1:
             return vector[0], None
         return None, vector
-
-    def _resolve_parallel_heterogeneous(
-        self,
-        work: WorkRequest,
-        placement: ThreadPlacement,
-        frequencies_ghz: Sequence[float],
-        miss_ratios: Sequence[float],
-    ) -> tuple[List[CPIBreakdown], BusState]:
-        """Per-thread CPI and bus state with one clock per core.
-
-        The fixed point is the same one-dimensional problem as
-        :meth:`_resolve_parallel` — resolved by the same shared safeguarded
-        solver (:mod:`repro.machine.fixedpoint`) — but with per-core clocks
-        there is no
-        common "core cycle" to express bus traffic in, so demand and
-        capacity move to *per-nanosecond* units (bytes/ns == GB/s; a thread
-        at ``f`` GHz retiring ``ipc`` instructions per cycle produces
-        ``bytes/cycle · f`` bytes per nanosecond).  Each thread sees the
-        unloaded DRAM nanoseconds converted into its *own* core cycles, so
-        fast cores pay more latency cycles per miss than slow ones — the
-        asymmetry heterogeneous ladders exploit.  The returned
-        :class:`BusState` is expressed in the same per-nanosecond units
-        (equivalent to resolving at a 1 GHz reference clock).
-        """
-        line_bytes = self._line_bytes()
-        n = placement.num_threads
-        capacity = self.memory_model.effective_capacity_bytes_per_cycle(n, 1.0)
-        l1_misses_per_instr = work.mem_fraction * work.l1_miss_rate
-
-        def evaluate(assumed: float):
-            breakdowns: List[CPIBreakdown] = []
-            demand = 0.0
-            for core_id, miss_ratio, f in zip(
-                placement.cores, miss_ratios, frequencies_ghz
-            ):
-                latency = self.memory_model.effective_latency_cycles(
-                    assumed,
-                    prefetch_friendliness=work.prefetch_friendliness,
-                    frequency_ghz=f,
-                    active_requestors=n,
-                )
-                core = self.topology.core(core_id)
-                cache = self.topology.cache_of(core_id)
-                bd = self.cpu_model.breakdown(
-                    work,
-                    core,
-                    l2_miss_ratio=miss_ratio,
-                    memory_latency_cycles=latency,
-                    l2_hit_latency_cycles=cache.hit_latency_cycles,
-                )
-                breakdowns.append(bd)
-                l2_misses_per_instr = l1_misses_per_instr * miss_ratio
-                demand += l2_misses_per_instr * bd.ipc * line_bytes * f
-            implied = demand / capacity if capacity > 0 else 0.0
-            return implied, (breakdowns, demand)
-
-        implied0, (breakdowns, demand) = evaluate(0.0)
-        self.solver_evaluations += 1
-        if implied0 > self.fixed_point_tolerance:
-            (breakdowns, demand), iterations, evaluations = solve_fixed_point_scalar(
-                evaluate,
-                implied0,
-                (breakdowns, demand),
-                self.fixed_point_tolerance,
-                self.fixed_point_iterations,
-                self.fixed_point_solver,
-            )
-            self.solver_iterations += iterations
-            self.solver_evaluations += evaluations
-        bus_state = self.memory_model.resolve(
-            demand,
-            frequency_ghz=1.0,
-            line_bytes=line_bytes,
-            active_requestors=n,
-        )
-        return breakdowns, bus_state
-
-    def _execute_heterogeneous(
-        self,
-        work: WorkRequest,
-        placement: ThreadPlacement,
-        pstates: Tuple[PState, ...],
-        apply_noise: bool,
-    ) -> ExecutionResult:
-        """One phase invocation with one P-state per core.
-
-        Structure mirrors the homogeneous :meth:`execute` step for step,
-        with the portions that assumed a single clock generalized:
-
-        * the parallel critical path is the slowest thread in *seconds*
-          (``instructions · CPI / f``), not in cycles — a thread's cycles
-          are no longer comparable across cores;
-        * the serial portion and the barrier synchronization execute on the
-          master (thread-0) core at its clock;
-        * reported ``cycles`` / ``ipc`` are expressed in the master core's
-          clock, and per-core power scales come from each core's own state.
-        """
-        n = placement.num_threads
-        frequencies = [p.frequency_ghz for p in pstates]
-        master_hz = frequencies[0] * 1e9
-
-        # --- parallel portion -----------------------------------------
-        miss_ratios = self.cache_model.per_thread_miss_ratios(work, placement)
-        breakdowns, bus_state = self._resolve_parallel_heterogeneous(
-            work, placement, frequencies, miss_ratios
-        )
-        parallel_instructions = work.instructions * (1.0 - work.serial_fraction)
-        per_thread_instr = parallel_instructions / n
-        critical_instr = per_thread_instr * (work.load_imbalance if n > 1 else 1.0)
-        # Critical-path thread: the slowest wall-clock thread governs time.
-        parallel_seconds = max(
-            critical_instr * bd.total / (f * 1e9)
-            for bd, f in zip(breakdowns, frequencies)
-        )
-
-        # --- serial portion -------------------------------------------
-        serial_instructions = work.instructions * work.serial_fraction
-        serial_seconds = 0.0
-        if serial_instructions > 0:
-            serial_bd = self._resolve_serial(
-                work, placement.cores[0], frequencies[0]
-            )
-            serial_seconds = serial_instructions * serial_bd.total / master_hz
-
-        # --- synchronization ------------------------------------------
-        sync_seconds = 0.0
-        sync_instructions = 0.0
-        if n > 1 and work.barriers > 0:
-            per_barrier = work.sync_cycles_per_barrier + 450.0 * n
-            sync_seconds = work.barriers * per_barrier / master_hz
-            sync_instructions = work.barriers * _SYNC_INSTRUCTIONS_PER_BARRIER * n
-
-        time_seconds = parallel_seconds + serial_seconds + sync_seconds
-        if apply_noise and self.noise_sigma > 0:
-            jitter = float(
-                np.clip(1.0 + self._rng.normal(0.0, self.noise_sigma), 0.9, 1.1)
-            )
-            time_seconds = time_seconds * jitter
-
-        total_instructions = work.instructions + sync_instructions
-        total_cycles = time_seconds * master_hz
-        ipc = total_instructions / total_cycles if total_cycles > 0 else 0.0
-
-        # --- power -----------------------------------------------------
-        power = self.power_model.evaluate(
-            occupied_cores=placement.cores,
-            thread_ipcs=[bd.ipc for bd in breakdowns],
-            stall_fractions=[bd.stall_fraction for bd in breakdowns],
-            bus_utilization=bus_state.utilization,
-            pstate=pstates,
-        )
-
-        events = self._event_counts(
-            work,
-            placement,
-            total_instructions,
-            total_cycles,
-            breakdowns,
-            miss_ratios,
-            bus_state,
-        )
-        return ExecutionResult(
-            work=work,
-            placement=placement,
-            time_seconds=time_seconds,
-            cycles=total_cycles,
-            instructions=total_instructions,
-            ipc=ipc,
-            thread_ipcs=tuple(bd.ipc for bd in breakdowns),
-            thread_cpi=tuple(breakdowns),
-            bus=bus_state,
-            power=power,
-            event_counts=events,
-            pstate=None,
-            frequency_ghz=frequencies[0],
-            miss_ratios=tuple(miss_ratios),
-            pstates=pstates,
-        )
 
     # ------------------------------------------------------------------
     # batched execution
@@ -1343,8 +1125,7 @@ class Machine:
             )
         pstate = config.pstate
         if pstate is None:
-            nominal = self._placement_static(config.placement).nominal_frequency_ghz
-            return (nominal, 1.0, 1.0)
+            return (self._frequency_ghz(config.placement, None), 1.0, 1.0)
         f_scale, v_scale = self.power_model.dvfs_scales(pstate)
         return (pstate.frequency_ghz, f_scale, v_scale)
 
@@ -1362,42 +1143,66 @@ class Machine:
             a
         ) == self._pstate_key(b)
 
-    def _placement_static(self, placement: ThreadPlacement) -> _PlacementStatic:
-        static = self._placement_statics.get(placement.cores)
+    def _config_static(self, config: Configuration) -> _ConfigStatic:
+        """Kernel constants of ``config`` (see :class:`_ConfigStatic`)."""
+        static = self._config_statics.get(config)
         if static is None:
+            placement = config.placement
             self._validate_placement(placement)
+            topology = self.topology
             cores = placement.cores
-            caches = [self.topology.cache_of(c) for c in cores]
-            sharers = placement.sharers_by_cache(self.topology)
-            occupants_by_cache = {cid: len(cs) for cid, cs in sharers.items()}
-            core0 = self.topology.core(cores[0])
-            static = _PlacementStatic(
-                cores=cores,
-                n=len(cores),
-                l1_hit=np.array(
-                    [self.topology.core(c).l1_hit_latency_cycles for c in cores],
-                    dtype=np.float64,
-                ),
-                l2_hit=np.array(
-                    [cache.hit_latency_cycles for cache in caches], dtype=np.float64
-                ),
-                capacity_mb=np.array(
-                    [cache.size_mb for cache in caches], dtype=np.float64
-                ),
-                occupants=np.array(
-                    [
-                        occupants_by_cache[self.topology.core(c).l2_cache_id]
-                        for c in cores
-                    ],
-                    dtype=np.float64,
-                ),
-                active_caches=len(sharers),
-                serial_capacity_mb=caches[0].size_mb,
-                serial_l1_hit=float(core0.l1_hit_latency_cycles),
-                serial_l2_hit=float(caches[0].hit_latency_cycles),
-                nominal_frequency_ghz=core0.frequency_ghz,
+            n = len(cores)
+            caches = [topology.cache_of(c) for c in cores]
+            sharers = placement.sharers_by_cache(topology)
+            occupants = {cid: len(cs) for cid, cs in sharers.items()}
+            if config.pstate_vector is None:
+                # One shared clock, which is also the bus reference clock.
+                reference = self._frequency_ghz(placement, config.pstate)
+                pstates = (config.pstate,) * n
+                clocks = np.full(n, reference)
+            else:
+                # Per-core clocks: bus traffic in per-nanosecond units.
+                reference = 1.0
+                pstates = config.pstate_vector
+                clocks = np.array([p.frequency_ghz for p in pstates])
+            f_scale, v_scale = np.array(
+                [self.power_model.dvfs_scales(p) for p in pstates]
+            ).T
+            dynamic = f_scale * v_scale ** 2
+            # The shared domains scale by a homogeneous configuration's own
+            # f·V² (the mean of n equal scales is not always bit-equal to
+            # it), otherwise by the mean over the active cores.
+            shared_scale = (
+                dynamic[0] if config.pstate_vector is None else np.sum(dynamic) / n
             )
-            self._placement_statics[placement.cores] = static
+            threads = np.array(
+                [
+                    [topology.core(c).l1_hit_latency_cycles for c in cores],
+                    [cache.hit_latency_cycles for cache in caches],
+                    [cache.size_mb for cache in caches],
+                    [occupants[topology.core(c).l2_cache_id] for c in cores],
+                    clocks,
+                    clocks / reference,
+                    clocks[0] / clocks,
+                    f_scale,
+                    v_scale,
+                ],
+                dtype=np.float64,
+            )
+            static = _ConfigStatic(
+                n=n,
+                threads=threads,
+                scalars=(
+                    float(n),
+                    reference,
+                    float(shared_scale),
+                    caches[0].size_mb,
+                    topology.core(cores[0]).l1_hit_latency_cycles,
+                    caches[0].hit_latency_cycles,
+                    float(len(sharers)),
+                ),
+            )
+            self._config_statics[config] = static
         return static
 
     def _execute_cells_kernel(
@@ -1416,14 +1221,18 @@ class Machine:
         phase × configuration grid (row-major cell order), including the
         ragged miss sets a partially warm memo leaves behind.
 
-        Dispatches on the P-state shape of each row's configuration: rows
-        with one shared clock go through the homogeneous kernel unchanged
-        (bit-compatible with the pre-heterogeneous engine), rows pinning
-        per-core P-state vectors through the heterogeneous kernel.  Noise
-        jitter is drawn here for *all* rows in row order — one draw per
-        cell from the machine RNG, exactly the stream a loop of noisy
-        :meth:`execute` calls would consume — and handed to the
-        sub-kernels, so partitioning cannot reorder the stream.
+        The arithmetic vectorizes :meth:`execute` operation for operation —
+        including the throughput/bus fixed point, resolved by the shared
+        safeguarded solver (:mod:`repro.machine.fixedpoint`) simultaneously
+        for all cells with a per-row convergence mask — so every cell
+        reproduces the scalar path to floating-point accuracy.  Per-work
+        scalars become per-row columns and per-core quantities ``(rows,
+        threads)`` matrices; a homogeneous configuration is a row of equal
+        clocks, whose bus ratios ``f_thread / f_ref`` and time ratios
+        ``f_master / f_thread`` are exactly 1.0.  With ``apply_noise`` one
+        jitter per row is drawn from the machine RNG in row order — the
+        stream a loop of noisy :meth:`execute` calls would consume — and
+        multiplies the row's total cycles.
         """
         work_rows = np.asarray(work_rows)
         config_rows = np.asarray(config_rows)
@@ -1435,55 +1244,6 @@ class Machine:
                 0.9,
                 1.1,
             )
-        hetero = np.array(
-            [configs[int(c)].is_heterogeneous for c in config_rows], dtype=bool
-        )
-        if not hetero.any():
-            return self._execute_cells_kernel_homogeneous(
-                works, work_rows, configs, config_rows, jitter
-            )
-        if hetero.all():
-            return self._execute_cells_kernel_heterogeneous(
-                works, work_rows, configs, config_rows, jitter
-            )
-        entries: List[Optional[_CellEntry]] = [None] * n_rows
-        for indices, kernel in (
-            (np.nonzero(~hetero)[0], self._execute_cells_kernel_homogeneous),
-            (np.nonzero(hetero)[0], self._execute_cells_kernel_heterogeneous),
-        ):
-            sub_entries = kernel(
-                works,
-                work_rows[indices],
-                configs,
-                config_rows[indices],
-                None if jitter is None else jitter[indices],
-            )
-            for i, entry in zip(indices, sub_entries):
-                entries[int(i)] = entry
-        return entries  # type: ignore[return-value]
-
-    def _execute_cells_kernel_homogeneous(
-        self,
-        works: Sequence[WorkRequest],
-        work_rows: np.ndarray,
-        configs: Sequence[Configuration],
-        config_rows: np.ndarray,
-        jitter: Optional[np.ndarray] = None,
-    ) -> List[_CellEntry]:
-        """The one-clock-per-configuration cell kernel.
-
-        The arithmetic mirrors :meth:`execute` operation for operation —
-        including the throughput/bus fixed point, resolved by the shared
-        safeguarded solver (:mod:`repro.machine.fixedpoint`) simultaneously
-        for all cells with a per-row convergence mask — so a one-cell batch
-        reproduces the scalar path to floating-point accuracy.  Per-work scalars simply become per-row
-        columns; IEEE elementwise arithmetic keeps the results identical to
-        the former one-work batch kernel.  ``jitter`` (drawn by the
-        dispatcher) multiplies the total cycles per row when present.
-        """
-        work_rows = np.asarray(work_rows)
-        config_rows = np.asarray(config_rows)
-        n_rows = len(work_rows)
         # Compact to the works/configs actually referenced: a partially-warm
         # call may leave cold cells in only a few columns, and the setup
         # loops below (statics, scatter arrays, DVFS scales, field gathers)
@@ -1500,37 +1260,36 @@ class Machine:
             remap = {old: new for new, old in enumerate(used_works)}
             works = [works[i] for i in used_works]
             work_rows = np.array([remap[int(w)] for w in work_rows], dtype=np.intp)
-        statics = [self._placement_static(c.placement) for c in configs]
+        statics = [self._config_static(c) for c in configs]
         width = max(s.n for s in statics)
-        n_configs = len(configs)
-        n_c = np.array([s.n for s in statics], dtype=np.float64)
-        mask_c = np.zeros((n_configs, width), dtype=bool)
-        l1_hit_c = np.zeros((n_configs, width))
-        l2_hit_c = np.zeros((n_configs, width))
-        capacity_mb_c = np.ones((n_configs, width))
-        occupants_c = np.ones((n_configs, width))
+        # Padded thread lanes are 1.0 in every per-thread field, so
+        # divisions stay finite; the mask zeroes their contributions exactly.
+        threads_c = np.ones((len(statics[0].threads), len(configs), width))
         for i, s in enumerate(statics):
-            mask_c[i, : s.n] = True
-            l1_hit_c[i, : s.n] = s.l1_hit
-            l2_hit_c[i, : s.n] = s.l2_hit
-            capacity_mb_c[i, : s.n] = s.capacity_mb
-            occupants_c[i, : s.n] = s.occupants
-        freq_c = np.array(
-            [
-                c.pstate.frequency_ghz if c.pstate is not None else s.nominal_frequency_ghz
-                for c, s in zip(configs, statics)
-            ],
-            dtype=np.float64,
-        )
-        scales_c = [self.power_model.dvfs_scales(c.pstate) for c in configs]
+            threads_c[:, i, : s.n] = s.threads
         # Gather the per-config constants out to one row per cell.
-        n = n_c[config_rows]
-        mask = mask_c[config_rows]
-        l1_hit = l1_hit_c[config_rows]
-        l2_hit = l2_hit_c[config_rows]
-        capacity_mb = capacity_mb_c[config_rows]
-        occupants = occupants_c[config_rows]
-        freq = freq_c[config_rows]
+        (
+            l1_hit,
+            l2_hit,
+            capacity_mb,
+            occupants,
+            freq,  # (rows, width): one clock per thread
+            bus_ratio,
+            time_ratio,
+            f_scale,
+            v_scale,
+        ) = threads_c[:, config_rows]
+        (
+            n,
+            reference,
+            shared_scale,
+            serial_capacity_mb,
+            serial_l1_hit,
+            serial_l2_hit,
+            active_caches,
+        ) = np.array([s.scalars for s in statics]).T[:, config_rows]
+        mask = np.arange(width) < n[:, None]
+        master = freq[:, 0]
         maskf = mask.astype(np.float64)
 
         def wcol(attr: str) -> np.ndarray:
@@ -1563,7 +1322,9 @@ class Machine:
         l1_misses_per_instr = (mem_fraction * l1_miss_rate)[:, None]
         l2_misses_per_instr = l1_misses_per_instr * miss_ratios
         l2_hits_per_instr = l1_misses_per_instr * (1.0 - miss_ratios)
-        capacity = self.memory_model.effective_capacity_bytes_per_cycle_batch(n, freq)
+        capacity = self.memory_model.effective_capacity_bytes_per_cycle_batch(
+            n, reference
+        )
         capacity_positive = capacity > 0
         safe_capacity = np.where(capacity_positive, capacity, 1.0)
 
@@ -1572,8 +1333,9 @@ class Machine:
         onset_span = 1.0 - onset
         max_stretch = memory.max_stretch
         conflict_coeff = memory.row_conflict_penalty * np.maximum(0.0, n - 1.0)
+        # Each thread converts the DRAM nanoseconds into its own cycles.
         base_latency = self.topology.memory_latency_ns * freq
-        exposed = np.maximum(0.0, 1.0 - prefetch)
+        exposed = np.maximum(0.0, 1.0 - prefetch)[:, None]
         hidden_latency = base_latency * (1.0 - exposed) * 0.05
         branch_component = (
             branch_fraction
@@ -1591,7 +1353,7 @@ class Machine:
         traffic_coeff = (l2_misses_per_instr * line_bytes) * maskf
 
         def sweep(assumed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Latency and aggregate demand at an assumed bus utilization."""
+            """Per-thread latency and aggregate demand at an assumed utilization."""
             rho = np.minimum(np.maximum(assumed, 0.0), 0.999)
             conflict = 1.0 + conflict_coeff * rho
             effective = (rho - onset) / onset_span
@@ -1600,10 +1362,10 @@ class Machine:
                 * conflict
             )
             stretch = np.where(rho <= onset, conflict, stretch)
-            latency = base_latency * stretch * exposed + hidden_latency
-            total = (head_cpi + l2_misses_per_instr * latency[:, None] * bandwidth) + branch_component
+            latency = base_latency * stretch[:, None] * exposed + hidden_latency
+            total = (head_cpi + l2_misses_per_instr * latency * bandwidth) + branch_component
             thread_ipc = 1.0 / total
-            demand = np.sum(traffic_coeff * thread_ipc, axis=1)
+            demand = np.sum(traffic_coeff * thread_ipc * bus_ratio, axis=1)
             return latency, demand
 
         final_latency, final_demand = sweep(np.zeros(n_rows))
@@ -1623,53 +1385,42 @@ class Machine:
             implied0,
             self.fixed_point_tolerance,
             self.fixed_point_iterations,
-            self.fixed_point_solver,
         )
         self.solver_iterations += iterations
         self.solver_evaluations += evaluations
 
         breakdowns = self.cpu_model.breakdown_grid(
-            works, work_rows, miss_ratios, final_latency[:, None], l2_hit, l1_hit
+            works, work_rows, miss_ratios, final_latency, l2_hit, l1_hit
         )
-        total_cpi = breakdowns.total
-        bus = self.memory_model.resolve_batch(final_demand, freq, line_bytes, n)
+        bus = self.memory_model.resolve_batch(final_demand, reference, line_bytes, n)
 
         parallel_instructions = instructions * (1.0 - serial_fraction)
         per_thread_instr = parallel_instructions / n
         critical_instr = per_thread_instr * np.where(n > 1, load_imbalance, 1.0)
-        critical_cpi = np.max(np.where(mask, total_cpi, -np.inf), axis=1)
-        parallel_cycles = critical_instr * critical_cpi
+        # Critical path: the slowest thread, in master-clock cycles.
+        thread_cycles = critical_instr[:, None] * breakdowns.total * time_ratio
+        parallel_cycles = np.max(np.where(mask, thread_cycles, -np.inf), axis=1)
 
-        # --- serial portion -------------------------------------------
+        # --- serial portion (master core) -------------------------------
         # Rows with no serial fraction contribute exactly 0.0 cycles (the
         # multiplication by zero instructions is exact), matching the scalar
         # path's skip.
         serial_instructions = instructions * serial_fraction
         serial_miss = self.cache_model.miss_ratio_grid(
-            works,
-            work_rows,
-            np.array([s.serial_capacity_mb for s in statics], dtype=np.float64)[
-                config_rows
-            ],
-            np.ones(n_rows),
+            works, work_rows, serial_capacity_mb, np.ones(n_rows)
         )
         serial_latency = self.memory_model.effective_latency_cycles_grid(
             np.zeros(n_rows),
             prefetch,
-            freq,
+            master,
             np.ones(n_rows),
         )
         serial_breakdown = self.cpu_model.breakdown_grid(
-            works,
-            work_rows,
-            serial_miss,
-            serial_latency,
-            np.array([s.serial_l2_hit for s in statics], dtype=np.float64)[config_rows],
-            np.array([s.serial_l1_hit for s in statics], dtype=np.float64)[config_rows],
+            works, work_rows, serial_miss, serial_latency, serial_l2_hit, serial_l1_hit
         )
         serial_cycles = serial_instructions * serial_breakdown.total
 
-        # --- synchronization ------------------------------------------
+        # --- synchronization (master core) ------------------------------
         sync_active = (n > 1) & (barriers > 0)
         per_barrier = sync_cycles_per_barrier + 450.0 * n
         sync_cycles = np.where(sync_active, barriers * per_barrier, 0.0)
@@ -1682,8 +1433,7 @@ class Machine:
             total_cycles = total_cycles * jitter
 
         total_instructions = instructions + sync_instructions
-        freq_hz = freq * 1e9
-        time_seconds = total_cycles / freq_hz
+        time_seconds = total_cycles / (master * 1e9)
         safe_cycles = np.where(total_cycles > 0, total_cycles, 1.0)
         aggregate_ipc = np.where(
             total_cycles > 0, total_instructions / safe_cycles, 0.0
@@ -1695,25 +1445,16 @@ class Machine:
             thread_ipcs=breakdowns.ipc,
             stall_fractions=breakdowns.stall_fraction,
             bus_utilization=bus.utilization,
-            active_cache_counts=np.array(
-                [s.active_caches for s in statics], dtype=np.float64
-            )[config_rows],
+            active_cache_counts=active_caches,
             num_threads=n,
-            f_scale=np.array([s[0] for s in scales_c], dtype=np.float64)[config_rows],
-            v_scale=np.array([s[1] for s in scales_c], dtype=np.float64)[config_rows],
+            f_scale=f_scale,
+            v_scale=v_scale,
+            shared_dynamic_scale=shared_scale,
         )
 
         # --- assemble compact per-cell entries -------------------------
-        statics_rows = [statics[int(ci)] for ci in config_rows]
-        miss_rows = miss_ratios.tolist()
-        l1_rows = np.asarray(breakdowns.l1_miss).tolist()
-        l2_rows = np.asarray(breakdowns.l2_miss).tolist()
-        watts_rows = power.per_thread_watts.tolist()
-        times = time_seconds.tolist()
-        cycles = total_cycles.tolist()
-        instructions = total_instructions.tolist()
-        ipcs = aggregate_ipc.tolist()
-        freqs = freq.tolist()
+        thread_counts = [s.n for s in statics]
+        rows_k = [thread_counts[ci] for ci in config_rows.tolist()]
         bus_rows = zip(
             bus.demand_bytes_per_cycle.tolist(),
             bus.capacity_bytes_per_cycle.tolist(),
@@ -1728,311 +1469,30 @@ class Machine:
             power.uncore_watts.tolist(),
             power.memory_watts.tolist(),
         )
-        entries: List[_CellEntry] = []
-        for i, (s, bus_row, power_row) in enumerate(zip(statics_rows, bus_rows, power_rows)):
-            k = s.n
-            entries.append(
-                _CellEntry(
-                    time_seconds=times[i],
-                    cycles=cycles[i],
-                    instructions=instructions[i],
-                    ipc=ipcs[i],
-                    frequency_ghz=freqs[i],
-                    miss_ratios=tuple(miss_rows[i][:k]),
-                    l1_cpi=tuple(l1_rows[i][:k]),
-                    l2_cpi=tuple(l2_rows[i][:k]),
-                    thread_watts=tuple(watts_rows[i][:k]),
-                    bus=bus_row,
-                    power=power_row,
-                )
+        return [
+            _CellEntry(
+                time, cycles, instr, ipc, clock,
+                tuple(miss[:k]), tuple(l1[:k]), tuple(l2[:k]), tuple(watts[:k]),
+                bus_row, power_row,
             )
-        return entries
-
-    def _execute_cells_kernel_heterogeneous(
-        self,
-        works: Sequence[WorkRequest],
-        work_rows: np.ndarray,
-        configs: Sequence[Configuration],
-        config_rows: np.ndarray,
-        jitter: Optional[np.ndarray] = None,
-    ) -> List[_CellEntry]:
-        """The per-core-P-state cell kernel.
-
-        Vectorizes :meth:`_execute_heterogeneous` operation for operation:
-        the frequency column of the homogeneous kernel becomes a
-        ``(rows, threads)`` matrix, bus demand/capacity move to
-        per-nanosecond units (a thread's traffic is scaled by its own
-        clock), the parallel critical path is taken in *seconds* across the
-        thread axis, and serial/synchronization portions run at the master
-        (thread-0) clock.  Every configuration handed here must pin a
-        ``pstate_vector``; homogeneous rows belong to
-        :meth:`_execute_cells_kernel_homogeneous` (the dispatcher
-        partitions).
-        """
-        work_rows = np.asarray(work_rows)
-        config_rows = np.asarray(config_rows)
-        n_rows = len(work_rows)
-        # Compact to the works/configs actually referenced (see the
-        # homogeneous kernel for why).
-        used_configs = sorted({int(c) for c in config_rows})
-        if len(used_configs) < len(configs):
-            remap = {old: new for new, old in enumerate(used_configs)}
-            configs = [configs[i] for i in used_configs]
-            config_rows = np.array([remap[int(c)] for c in config_rows], dtype=np.intp)
-        used_works = sorted({int(w) for w in work_rows})
-        if len(used_works) < len(works):
-            remap = {old: new for new, old in enumerate(used_works)}
-            works = [works[i] for i in used_works]
-            work_rows = np.array([remap[int(w)] for w in work_rows], dtype=np.intp)
-        statics = [self._placement_static(c.placement) for c in configs]
-        width = max(s.n for s in statics)
-        n_configs = len(configs)
-        n_c = np.array([s.n for s in statics], dtype=np.float64)
-        mask_c = np.zeros((n_configs, width), dtype=bool)
-        l1_hit_c = np.zeros((n_configs, width))
-        l2_hit_c = np.zeros((n_configs, width))
-        capacity_mb_c = np.ones((n_configs, width))
-        occupants_c = np.ones((n_configs, width))
-        # Padded thread lanes keep frequency/scale 1.0 so divisions stay
-        # finite; the mask zeroes their contributions exactly.
-        freq_c = np.ones((n_configs, width))
-        f_scale_c = np.ones((n_configs, width))
-        v_scale_c = np.ones((n_configs, width))
-        for i, (c, s) in enumerate(zip(configs, statics)):
-            mask_c[i, : s.n] = True
-            l1_hit_c[i, : s.n] = s.l1_hit
-            l2_hit_c[i, : s.n] = s.l2_hit
-            capacity_mb_c[i, : s.n] = s.capacity_mb
-            occupants_c[i, : s.n] = s.occupants
-            pstates = c.pstate_vector
-            assert pstates is not None  # dispatcher invariant
-            freq_c[i, : s.n] = [p.frequency_ghz for p in pstates]
-            scales = [self.power_model.dvfs_scales(p) for p in pstates]
-            f_scale_c[i, : s.n] = [f for f, _ in scales]
-            v_scale_c[i, : s.n] = [v for _, v in scales]
-        # Gather the per-config constants out to one row per cell.
-        n = n_c[config_rows]
-        mask = mask_c[config_rows]
-        l1_hit = l1_hit_c[config_rows]
-        l2_hit = l2_hit_c[config_rows]
-        capacity_mb = capacity_mb_c[config_rows]
-        occupants = occupants_c[config_rows]
-        freq = freq_c[config_rows]  # (rows, width): one clock per thread
-        maskf = mask.astype(np.float64)
-        master_hz = freq[:, 0] * 1e9
-
-        def wcol(attr: str) -> np.ndarray:
-            return work_field_rows(works, work_rows, attr)
-
-        instructions = wcol("instructions")
-        mem_fraction = wcol("mem_fraction")
-        l1_miss_rate = wcol("l1_miss_rate")
-        prefetch = wcol("prefetch_friendliness")
-        branch_fraction = wcol("branch_fraction")
-        bandwidth = wcol("bandwidth_sensitivity")[:, None]
-        base_cpi = wcol("base_cpi")[:, None]
-        serial_fraction = wcol("serial_fraction")
-        load_imbalance = wcol("load_imbalance")
-        barriers = wcol("barriers")
-        sync_cycles_per_barrier = wcol("sync_cycles_per_barrier")
-
-        # --- parallel portion: vectorized fixed point ------------------
-        # Mirrors _resolve_parallel_heterogeneous term for term; per-thread
-        # latency replaces the homogeneous kernel's per-row latency column.
-        miss_ratios = self.cache_model.miss_ratio_grid(
-            works, work_rows, capacity_mb, occupants
-        )
-        line_bytes = self._line_bytes()
-        l1_misses_per_instr = (mem_fraction * l1_miss_rate)[:, None]
-        l2_misses_per_instr = l1_misses_per_instr * miss_ratios
-        l2_hits_per_instr = l1_misses_per_instr * (1.0 - miss_ratios)
-        # Per-nanosecond bus units: capacity at a 1 GHz reference clock.
-        capacity = self.memory_model.effective_capacity_bytes_per_cycle_batch(
-            n, np.ones(n_rows)
-        )
-        capacity_positive = capacity > 0
-        safe_capacity = np.where(capacity_positive, capacity, 1.0)
-
-        memory = self.memory_model
-        onset = memory.contention_onset
-        onset_span = 1.0 - onset
-        max_stretch = memory.max_stretch
-        conflict_coeff = memory.row_conflict_penalty * np.maximum(0.0, n - 1.0)
-        base_latency = self.topology.memory_latency_ns * freq  # per thread
-        exposed = np.maximum(0.0, 1.0 - prefetch)
-        hidden_latency = base_latency * (1.0 - exposed)[:, None] * 0.05
-        branch_component = (
-            branch_fraction
-            * self.cpu_model.branch_misprediction_rate
-            * self.cpu_model.branch_penalty_cycles
-        )[:, None]
-        l1_component = (
-            l2_hits_per_instr
-            * np.maximum(0.0, l2_hit - l1_hit)
-            * self.cpu_model.l2_hit_exposed_fraction
-        )
-        head_cpi = base_cpi + l1_component
-        traffic_coeff = (l2_misses_per_instr * line_bytes) * maskf
-
-        def sweep(assumed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Per-thread latency and per-ns demand at an assumed utilization."""
-            rho = np.minimum(np.maximum(assumed, 0.0), 0.999)
-            conflict = 1.0 + conflict_coeff * rho
-            effective = (rho - onset) / onset_span
-            stretch = (
-                np.minimum(max_stretch, 1.0 / np.maximum(1e-3, 1.0 - effective))
-                * conflict
+            for (
+                time, cycles, instr, ipc, clock, miss, l1, l2, watts, k,
+                bus_row, power_row,
+            ) in zip(
+                time_seconds.tolist(),
+                total_cycles.tolist(),
+                total_instructions.tolist(),
+                aggregate_ipc.tolist(),
+                master.tolist(),
+                miss_ratios.tolist(),
+                np.asarray(breakdowns.l1_miss).tolist(),
+                np.asarray(breakdowns.l2_miss).tolist(),
+                power.per_thread_watts.tolist(),
+                rows_k,
+                bus_rows,
+                power_rows,
             )
-            stretch = np.where(rho <= onset, conflict, stretch)
-            latency = (
-                base_latency * stretch[:, None] * exposed[:, None] + hidden_latency
-            )
-            total = (head_cpi + l2_misses_per_instr * latency * bandwidth) + branch_component
-            thread_ipc = 1.0 / total
-            demand = np.sum(traffic_coeff * thread_ipc * freq, axis=1)
-            return latency, demand
-
-        final_latency, final_demand = sweep(np.zeros(n_rows))
-        self.solver_evaluations += 1
-        implied0 = np.where(capacity_positive, final_demand / safe_capacity, 0.0)
-
-        def evaluate(assumed: np.ndarray) -> np.ndarray:
-            nonlocal final_latency, final_demand
-            final_latency, final_demand = sweep(assumed)
-            return np.where(capacity_positive, final_demand / safe_capacity, 0.0)
-
-        iterations, evaluations = solve_fixed_point_vector(
-            evaluate,
-            implied0,
-            self.fixed_point_tolerance,
-            self.fixed_point_iterations,
-            self.fixed_point_solver,
-        )
-        self.solver_iterations += iterations
-        self.solver_evaluations += evaluations
-
-        breakdowns = self.cpu_model.breakdown_grid(
-            works, work_rows, miss_ratios, final_latency, l2_hit, l1_hit
-        )
-        total_cpi = breakdowns.total
-        bus = self.memory_model.resolve_batch(
-            final_demand, np.ones(n_rows), line_bytes, n
-        )
-
-        parallel_instructions = instructions * (1.0 - serial_fraction)
-        per_thread_instr = parallel_instructions / n
-        critical_instr = per_thread_instr * np.where(n > 1, load_imbalance, 1.0)
-        # Critical path in *seconds*: the slowest wall-clock thread.
-        thread_seconds = critical_instr[:, None] * total_cpi / (freq * 1e9)
-        parallel_seconds = np.max(
-            np.where(mask, thread_seconds, -np.inf), axis=1
-        )
-
-        # --- serial portion (master core, master clock) ----------------
-        serial_instructions = instructions * serial_fraction
-        serial_miss = self.cache_model.miss_ratio_grid(
-            works,
-            work_rows,
-            np.array([s.serial_capacity_mb for s in statics], dtype=np.float64)[
-                config_rows
-            ],
-            np.ones(n_rows),
-        )
-        serial_latency = self.memory_model.effective_latency_cycles_grid(
-            np.zeros(n_rows),
-            prefetch,
-            freq[:, 0],
-            np.ones(n_rows),
-        )
-        serial_breakdown = self.cpu_model.breakdown_grid(
-            works,
-            work_rows,
-            serial_miss,
-            serial_latency,
-            np.array([s.serial_l2_hit for s in statics], dtype=np.float64)[config_rows],
-            np.array([s.serial_l1_hit for s in statics], dtype=np.float64)[config_rows],
-        )
-        serial_seconds = serial_instructions * serial_breakdown.total / master_hz
-
-        # --- synchronization (master clock) ----------------------------
-        sync_active = (n > 1) & (barriers > 0)
-        per_barrier = sync_cycles_per_barrier + 450.0 * n
-        sync_seconds = np.where(sync_active, barriers * per_barrier, 0.0) / master_hz
-        sync_instructions = np.where(
-            sync_active, barriers * _SYNC_INSTRUCTIONS_PER_BARRIER * n, 0.0
-        )
-
-        time_seconds = parallel_seconds + serial_seconds + sync_seconds
-        if jitter is not None:
-            time_seconds = time_seconds * jitter
-
-        total_instructions = instructions + sync_instructions
-        total_cycles = time_seconds * master_hz
-        safe_cycles = np.where(total_cycles > 0, total_cycles, 1.0)
-        aggregate_ipc = np.where(
-            total_cycles > 0, total_instructions / safe_cycles, 0.0
-        )
-
-        # --- power (per-core scales) -----------------------------------
-        power = self.power_model.evaluate_grid(
-            thread_mask=mask,
-            thread_ipcs=breakdowns.ipc,
-            stall_fractions=breakdowns.stall_fraction,
-            bus_utilization=bus.utilization,
-            active_cache_counts=np.array(
-                [s.active_caches for s in statics], dtype=np.float64
-            )[config_rows],
-            num_threads=n,
-            f_scale=f_scale_c[config_rows],
-            v_scale=v_scale_c[config_rows],
-        )
-
-        # --- assemble compact per-cell entries -------------------------
-        statics_rows = [statics[int(ci)] for ci in config_rows]
-        miss_rows = miss_ratios.tolist()
-        l1_rows = np.asarray(breakdowns.l1_miss).tolist()
-        l2_rows = np.asarray(breakdowns.l2_miss).tolist()
-        watts_rows = power.per_thread_watts.tolist()
-        times = time_seconds.tolist()
-        cycles = total_cycles.tolist()
-        instructions = total_instructions.tolist()
-        ipcs = aggregate_ipc.tolist()
-        freqs = freq[:, 0].tolist()  # master clock, as in the scalar path
-        bus_rows = zip(
-            bus.demand_bytes_per_cycle.tolist(),
-            bus.capacity_bytes_per_cycle.tolist(),
-            bus.utilization.tolist(),
-            bus.latency_stretch.tolist(),
-            bus.transactions_per_cycle.tolist(),
-        )
-        power_rows = zip(
-            power.platform_watts.tolist(),
-            power.cores_watts.tolist(),
-            power.caches_watts.tolist(),
-            power.uncore_watts.tolist(),
-            power.memory_watts.tolist(),
-        )
-        entries: List[_CellEntry] = []
-        for i, (s, bus_row, power_row) in enumerate(
-            zip(statics_rows, bus_rows, power_rows)
-        ):
-            k = s.n
-            entries.append(
-                _CellEntry(
-                    time_seconds=times[i],
-                    cycles=cycles[i],
-                    instructions=instructions[i],
-                    ipc=ipcs[i],
-                    frequency_ghz=freqs[i],
-                    miss_ratios=tuple(miss_rows[i][:k]),
-                    l1_cpi=tuple(l1_rows[i][:k]),
-                    l2_cpi=tuple(l2_rows[i][:k]),
-                    thread_watts=tuple(watts_rows[i][:k]),
-                    bus=bus_row,
-                    power=power_row,
-                )
-            )
-        return entries
+        ]
 
     def _materialize_result(
         self, work: WorkRequest, config: Configuration, entry: _CellEntry
@@ -2236,7 +1696,8 @@ class Machine:
 
         Cells already in the memo are returned directly; the remainder are
         simulated — through the vectorized kernel, or through the memoized
-        scalar path when fewer than ``small_batch_cutoff`` cells are cold —
+        scalar path when fewer than ``DEFAULT_SMALL_BATCH_CUTOFF`` cells are
+        cold —
         and recorded into the memo.  Cold cells with identical memo keys
         (duplicate configurations, or equal-valued works) are simulated
         once and shared — the copies count as hits (they are served from
@@ -2290,7 +1751,7 @@ class Machine:
                 unique_indices = miss_indices
             if (
                 memo_enabled
-                and 0 < len(unique_indices) < self._effective_small_batch_cutoff()
+                and 0 < len(unique_indices) < DEFAULT_SMALL_BATCH_CUTOFF
             ):
                 # Small-batch short-circuit: below the cutoff the vectorized
                 # kernel's fixed setup cost dominates, so cold cells go
@@ -2335,69 +1796,6 @@ class Machine:
     ) -> _CellEntry:
         """One noise-free cell through the scalar path, as a compact entry."""
         return _CellEntry.from_result(self.execute(work, config, apply_noise=False))
-
-    def _effective_small_batch_cutoff(self) -> int:
-        """The integer cutoff, calibrating (once) if it is still ``"auto"``."""
-        cutoff = self.small_batch_cutoff
-        if cutoff == "auto":
-            cutoff = self._calibrate_small_batch_cutoff()
-            self.small_batch_cutoff = cutoff
-        return cutoff
-
-    def _calibrate_small_batch_cutoff(self) -> int:
-        """Measure the scalar-vs-kernel crossover on this host.
-
-        The kernel's cost is an affine model ``setup + cells · per_cell``;
-        fitting it from a 1-cell and a ``_CALIBRATION_CELLS``-cell launch
-        and comparing the slope against the measured scalar-path cell cost
-        gives the break-even batch size directly: the scalar detour wins
-        while ``cells · t_scalar < setup + cells · per_cell``.  Runs once,
-        lazily, at the first batched call that needs the cutoff (best-of-3
-        timings after a warm-up pass); the probe bypasses the memo, the
-        noise RNG, and the batch/solver counters, so calibration is
-        invisible to accounting and to reproducibility.
-        """
-        probe = WorkRequest(instructions=2.0e8)
-        config = self._normalize_configurations(None, "cutoff calibration")[0]
-        counters = (
-            self.solver_iterations,
-            self.solver_evaluations,
-            self.batch_cells_computed,
-        )
-        one = np.zeros(1, dtype=np.intp)
-        many = np.zeros(_CALIBRATION_CELLS, dtype=np.intp)
-
-        def best_of(fn, repetitions: int = 3) -> float:
-            best = float("inf")
-            for _ in range(repetitions):
-                start = perf_counter()
-                fn()
-                best = min(best, perf_counter() - start)
-            return best
-
-        # Warm both paths first so one-time costs (placement statics,
-        # validation caches) don't masquerade as per-call cost.
-        self.execute(probe, config, apply_noise=False)
-        self._execute_cells_kernel([probe], one, [config], one, False)
-        t_scalar = best_of(lambda: self.execute(probe, config, apply_noise=False))
-        t_one = best_of(
-            lambda: self._execute_cells_kernel([probe], one, [config], one, False)
-        )
-        t_many = best_of(
-            lambda: self._execute_cells_kernel([probe], many, [config], many, False)
-        )
-        (
-            self.solver_iterations,
-            self.solver_evaluations,
-            self.batch_cells_computed,
-        ) = counters
-        per_cell = max((t_many - t_one) / (_CALIBRATION_CELLS - 1), 0.0)
-        setup = max(t_one - per_cell, 0.0)
-        margin = t_scalar - per_cell
-        lo, hi = _CALIBRATION_CUTOFF_RANGE
-        if margin <= 0.0:
-            return lo  # kernel is at least as cheap per cell: never detour
-        return max(lo, min(hi, int(setup / margin) + 1))
 
     # ------------------------------------------------------------------
     # execution memo introspection and cross-process sharing

@@ -307,22 +307,6 @@ class MemoryModel:
         # matches the behaviour of the hardware prefetchers on the platform.
         return base * stretch * exposed + base * (1.0 - exposed) * 0.05
 
-    def effective_latency_cycles_batch(
-        self,
-        utilization: np.ndarray,
-        prefetch_friendliness: float,
-        frequency_ghz: np.ndarray,
-        active_requestors: np.ndarray,
-    ) -> np.ndarray:
-        """Array-shaped :meth:`effective_latency_cycles` (utilization form).
-
-        A thin one-work view of :meth:`effective_latency_cycles_grid` (the
-        scalar ``prefetch_friendliness`` broadcasts across every element).
-        """
-        return self.effective_latency_cycles_grid(
-            utilization, prefetch_friendliness, frequency_ghz, active_requestors
-        )
-
     def effective_latency_cycles_grid(
         self,
         utilization: np.ndarray,
@@ -330,15 +314,14 @@ class MemoryModel:
         frequency_ghz: np.ndarray,
         active_requestors: np.ndarray,
     ) -> np.ndarray:
-        """Row-wise :meth:`effective_latency_cycles_batch` over many works.
+        """Array-shaped :meth:`effective_latency_cycles` (utilization form).
 
-        Identical to the batch form except that ``prefetch_friendliness``
-        is itself an array (one value per grid row, broadcast against the
-        other arguments), so a single call serves a phase × configuration
-        grid of heterogeneous phases.  The remaining bus primitives
-        (:meth:`latency_stretch_batch`, :meth:`resolve_batch`,
-        :meth:`effective_capacity_bytes_per_cycle_batch`) are work-agnostic
-        and broadcast over grid rows unchanged.
+        Every argument is an array broadcast against the others —
+        ``prefetch_friendliness`` carries one value per grid row — so a
+        single call serves a phase × configuration grid of heterogeneous
+        phases.  The remaining bus primitives (:meth:`latency_stretch_batch`,
+        :meth:`resolve_batch`, :meth:`effective_capacity_bytes_per_cycle_batch`)
+        are work-agnostic and broadcast over grid rows unchanged.
         """
         stretch = self.latency_stretch_batch(utilization, active_requestors)
         base = self.topology.memory_latency_ns * np.asarray(

@@ -296,48 +296,6 @@ class PowerModel:
             components=per_core,
         )
 
-    def evaluate_batch(
-        self,
-        thread_mask: np.ndarray,
-        thread_ipcs: np.ndarray,
-        stall_fractions: np.ndarray,
-        bus_utilization: np.ndarray,
-        active_cache_counts: np.ndarray,
-        num_threads: np.ndarray,
-        pstates: Sequence[Optional[PState]],
-    ) -> PowerBreakdownBatch:
-        """Array-shaped :meth:`evaluate`: one power decomposition per row.
-
-        Parameters
-        ----------
-        thread_mask:
-            ``(batch, max_threads)`` boolean array marking real threads
-            (rows are padded to the widest configuration of the batch).
-        thread_ipcs, stall_fractions:
-            Per-thread IPC and memory stall fraction, same shape as
-            ``thread_mask``; padded entries are ignored.
-        bus_utilization:
-            Delivered front-side-bus utilization per configuration.
-        active_cache_counts:
-            Number of L2 domains with at least one occupied core, per
-            configuration.
-        num_threads:
-            Occupied core count per configuration.
-        pstates:
-            DVFS operating point per configuration (``None`` = nominal).
-        """
-        scales = [self.dvfs_scales(pstate) for pstate in pstates]
-        return self.evaluate_grid(
-            thread_mask=thread_mask,
-            thread_ipcs=thread_ipcs,
-            stall_fractions=stall_fractions,
-            bus_utilization=bus_utilization,
-            active_cache_counts=active_cache_counts,
-            num_threads=num_threads,
-            f_scale=np.array([s[0] for s in scales], dtype=np.float64),
-            v_scale=np.array([s[1] for s in scales], dtype=np.float64),
-        )
-
     def evaluate_grid(
         self,
         thread_mask: np.ndarray,
@@ -348,40 +306,37 @@ class PowerModel:
         num_threads: np.ndarray,
         f_scale: np.ndarray,
         v_scale: np.ndarray,
+        shared_dynamic_scale: np.ndarray,
     ) -> PowerBreakdownBatch:
-        """Row-wise :meth:`evaluate_batch` with precomputed DVFS scales.
+        """Array-shaped :meth:`evaluate`: one power decomposition per row.
 
-        Grid callers evaluate many (work, configuration) rows that reuse a
-        handful of distinct P-states, so instead of a per-row ``pstates``
-        list (whose scales :meth:`evaluate_batch` derives one Python call at
-        a time) this form takes the ``(frequency_scale, voltage_scale)``
-        arrays directly — computed once per distinct configuration via
-        :meth:`dvfs_scales` and gathered out to rows.  The arithmetic is
-        identical to :meth:`evaluate_batch`.
-
-        ``f_scale`` / ``v_scale`` may also be 2-D ``(rows, max_threads)``
-        arrays carrying one scale per thread slot (heterogeneous per-core
-        P-states; padded slots are ignored through ``thread_mask``).  Each
-        core then scales by its own operating point and the shared
-        cache/uncore domains by the arithmetic mean of the active cores'
-        dynamic scales, mirroring the per-core form of :meth:`evaluate`.
+        Parameters
+        ----------
+        thread_mask:
+            ``(rows, max_threads)`` boolean array marking real threads
+            (rows are padded to the widest configuration of the grid).
+        thread_ipcs, stall_fractions:
+            Per-thread IPC and memory stall fraction, same shape as
+            ``thread_mask``; padded entries are ignored.
+        bus_utilization:
+            Delivered front-side-bus utilization per row.
+        active_cache_counts:
+            Number of L2 domains with at least one occupied core, per row.
+        num_threads:
+            Occupied core count per row.
+        f_scale, v_scale:
+            ``(rows, max_threads)`` DVFS ``(frequency, voltage)`` scales of
+            each thread's core (see :meth:`dvfs_scales`); each core's power
+            scales by its own operating point.
+        shared_dynamic_scale:
+            Per-row ``f·V²`` scale of the shared cache/uncore domains, which
+            run at a package-wide clock.  Callers compute it once per
+            configuration, as :meth:`evaluate` does: the common state's own
+            scale when all cores share one, otherwise the arithmetic mean of
+            the active cores' dynamic scales.
         """
         p = self.parameters
-        f_scale = np.asarray(f_scale, dtype=np.float64)
-        v_scale = np.asarray(v_scale, dtype=np.float64)
-        dynamic_scale = f_scale * v_scale ** 2
         n = np.asarray(num_threads, dtype=np.float64)
-        if f_scale.ndim == 2:
-            per_thread_v_scale = v_scale
-            per_thread_dynamic_scale = dynamic_scale
-            safe_n = np.where(n > 0, n, 1.0)
-            shared_dynamic_scale = (
-                np.sum(dynamic_scale * thread_mask, axis=1) / safe_n
-            )
-        else:
-            per_thread_v_scale = v_scale[:, None]
-            per_thread_dynamic_scale = dynamic_scale[:, None]
-            shared_dynamic_scale = dynamic_scale
 
         throughput_term = np.minimum(1.0, thread_ipcs / 1.8)
         busy_term = np.maximum(0.0, 1.0 - stall_fractions)
@@ -389,8 +344,8 @@ class PowerModel:
             1.0, 0.08 + 0.92 * (0.60 * throughput_term + 0.40 * busy_term)
         )
         per_thread = (
-            p.core_static_watts * per_thread_v_scale
-            + p.core_dynamic_watts * activity * per_thread_dynamic_scale
+            p.core_static_watts * v_scale
+            + p.core_dynamic_watts * activity * (f_scale * v_scale ** 2)
         ) * thread_mask
         cores_watts = p.core_idle_watts * (self.topology.num_cores - n) + np.sum(
             per_thread, axis=1

@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..cluster.scheduler import PowerCapInfeasibleError
 from .messages import (
     AdaptationDecision,
     GridProbeRequest,
@@ -238,6 +239,13 @@ class TCPAdaptationClient(_RetryBackoff):
                         response.get("detail")
                         or "adaptation service stopped before serving"
                     )
+                )
+            if error == "power_cap_infeasible":
+                # Non-retriable: resubmitting cannot lower the batch's
+                # minimum draw below the cap.
+                raise PowerCapInfeasibleError(
+                    float(response["cap_watts"]),
+                    float(response["min_feasible_watts"]),
                 )
             if error == "internal":
                 raise RuntimeError(

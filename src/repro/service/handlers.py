@@ -292,7 +292,8 @@ class FleetHandler(DecisionHandler):
         Hard global cap applied to every batch (``None`` = uncapped).
         A batch the cap cannot accommodate at all fails with
         :class:`~repro.cluster.PowerCapInfeasibleError`, surfaced to TCP
-        clients as a structured ``internal`` error.
+        clients as a typed ``power_cap_infeasible`` answer carrying the cap
+        and the minimum feasible draw.
     """
 
     def __init__(self, fleet, power_cap_watts: Optional[float] = None) -> None:

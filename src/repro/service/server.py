@@ -25,6 +25,7 @@ import json
 import logging
 from typing import Dict, Optional, Sequence, Union
 
+from ..cluster.scheduler import PowerCapInfeasibleError
 from .batcher import MicroBatcher
 from .handlers import DecisionHandler
 from .messages import (
@@ -88,6 +89,10 @@ class JsonLinesEndpoint:
       against this endpoint);
     * ``{"ok": false, "error": "bad_request", "detail": ...}`` — the line
       did not parse into a request;
+    * ``{"ok": false, "error": "power_cap_infeasible", "cap_watts": w,
+      "min_feasible_watts": w}`` — a fleet handler's power cap is below the
+      minimum draw of this request's batch (non-retriable while the cap
+      stands);
     * ``{"ok": false, "error": "internal", "detail": ...}`` — the handler
       failed on this request's batch.  The connection stays open and keeps
       serving subsequent lines: one poisoned batch must not silently tear
@@ -225,6 +230,14 @@ class JsonLinesEndpoint:
             }
         except ServiceStoppedError as exc:
             return {"ok": False, "error": "shutting_down", "detail": str(exc)}
+        except PowerCapInfeasibleError as exc:
+            logger.warning("fleet schedule rejected: %s", exc)
+            return {
+                "ok": False,
+                "error": "power_cap_infeasible",
+                "cap_watts": exc.cap_watts,
+                "min_feasible_watts": exc.required_watts,
+            }
         except Exception as exc:
             # A handler exception fails its whole batch and surfaces here
             # through submit(); without this catch it would propagate out

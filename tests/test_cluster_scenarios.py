@@ -9,12 +9,17 @@ Three failure modes the cluster layer must absorb without losing work:
   same jobs complete, deterministically;
 * the service stops while a fleet schedule is in flight — the TCP client
   gets a structured ``shutting_down`` answer, not a dropped socket.
+
+A fleet cap below the fleet's floor is a typed failure on the wire too:
+``power_cap_infeasible`` with the cap and the minimum feasible draw, which
+the TCP client raises as :class:`PowerCapInfeasibleError` without retrying.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 
 import pytest
@@ -23,16 +28,23 @@ from repro.cluster import (
     CapStep,
     Fleet,
     FleetJob,
+    FleetScheduler,
     Node,
     NodeFailure,
     NodeJoin,
+    PowerCapInfeasibleError,
     ScenarioRound,
     StragglerOnset,
     jobs_from_workload,
     run_scenario,
 )
 from repro.machine import Machine, WorkRequest
-from repro.service import AdaptationServer, FleetHandler, GridProbeRequest
+from repro.service import (
+    AdaptationServer,
+    FleetHandler,
+    GridProbeRequest,
+    TCPAdaptationClient,
+)
 from repro.workloads import nas_suite
 
 
@@ -226,3 +238,67 @@ class TestFleetServiceShutdown:
             pytest.skip("loopback sockets unavailable in this environment")
         assert response["ok"] is False
         assert response["error"] == "shutting_down"
+
+
+class TestFleetServiceInfeasibleCap:
+    def test_cap_below_the_floor_answers_power_cap_infeasible(self, caplog):
+        work = WorkRequest(
+            instructions=2e8,
+            mem_fraction=0.3,
+            flop_fraction=0.3,
+            l1_miss_rate=0.05,
+            l2_miss_rate_solo=0.3,
+            working_set_mb=2.0,
+        )
+        cap = 1.0  # far below the idle platform floor
+        fleet = Fleet([Node("solo", Machine(noise_sigma=0.0))])
+        with pytest.raises(PowerCapInfeasibleError) as direct:
+            FleetScheduler(fleet).schedule([FleetJob(name="c0/p0", work=work)], cap)
+
+        async def main():
+            handler = FleetHandler(
+                Fleet([Node("solo", Machine(noise_sigma=0.0))]), power_cap_watts=cap
+            )
+            server = AdaptationServer(handler, max_batch_size=1, max_batch_window=0.0)
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            try:
+                request = GridProbeRequest(client_id="c0", phase="p0", work=work)
+                line = json.dumps(dict(request.to_payload(), kind="grid_probe"))
+                reader, writer = await asyncio.open_connection(host, port)
+                answers = []
+                for _ in range(2):  # the connection keeps serving
+                    writer.write(line.encode() + b"\n")
+                    await writer.drain()
+                    answers.append(json.loads(await reader.readline()))
+                writer.close()
+                await writer.wait_closed()
+                async with TCPAdaptationClient(host, port) as client:
+                    with pytest.raises(PowerCapInfeasibleError) as raised:
+                        await client.request(request)
+                    retries = client.retries
+                return answers, raised.value, retries
+            finally:
+                await server.stop()
+
+        with caplog.at_level(logging.WARNING):
+            outcome = asyncio.run(main())
+        if outcome is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        answers, raised, retries = outcome
+        for answer in answers:
+            assert answer == {
+                "ok": False,
+                "error": "power_cap_infeasible",
+                "cap_watts": cap,
+                "min_feasible_watts": direct.value.required_watts,
+            }
+        assert raised.cap_watts == cap
+        assert raised.required_watts == direct.value.required_watts
+        assert retries == 0
+        server_records = [r for r in caplog.records if r.name == "repro.service.server"]
+        assert [r.levelno for r in server_records] == [logging.WARNING] * 3
+        assert all("power cap" in r.getMessage() for r in server_records)
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]

@@ -3,14 +3,19 @@
 Covers the solver module itself (synthetic monotone problems, safeguard and
 mask-retirement behaviour), the physical property it relies on (the
 machine's ``implied(u) - u`` map is monotone decreasing), and the headline
-equivalence claim of the PR: ``newton`` and ``bisect`` agree to ≤ 1e-9 on
-the NAS × DVFS and heterogeneous-ladder cross-products, with bit-identical
-memo keys and hit/miss accounting in both modes.  The golden captures in
-``test_golden_{grid,hetero,actor}.py`` were re-pinned under the default
-newton solver on the strength of this suite.
+equivalence claim: the Newton/secant solver and the reference bisection
+(``fixedpoint._bisect_scalar`` / ``_bisect_vector``, patched into the
+machine in place of the solvers) agree to ≤ 1e-9 on the NAS × DVFS and
+heterogeneous-ladder cross-products, with bit-identical memo keys and
+hit/miss accounting.  The golden captures in
+``test_golden_{grid,hetero,actor}.py`` were pinned under the Newton solver
+on the strength of this suite.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,11 +31,12 @@ from repro.machine import (
     heterogeneous_ladders,
     standard_configurations,
 )
+from repro.machine import machine as machine_module
 from repro.machine.fixedpoint import (
-    FIXED_POINT_SOLVERS,
+    _bisect_scalar,
+    _bisect_vector,
     solve_fixed_point_scalar,
     solve_fixed_point_vector,
-    validate_solver,
 )
 from repro.workloads import nas_suite
 
@@ -44,6 +50,45 @@ _SETTINGS = settings(
 #: metric-level agreement bound holds even where the metric's sensitivity
 #: to the fixed point is amplified (d(metric)/du can exceed 1).
 _TIGHT = dict(fixed_point_tolerance=1e-12, fixed_point_iterations=64)
+
+#: The solver under test and the reference bisection, by parameter id.
+SOLVERS = ("newton", "bisect")
+_SCALAR = {"newton": solve_fixed_point_scalar, "bisect": _bisect_scalar}
+_VECTOR = {"newton": solve_fixed_point_vector, "bisect": _bisect_vector}
+
+
+@contextmanager
+def reference_bisection():
+    """Resolve every machine fixed point with the reference bisection."""
+    with mock.patch.object(
+        machine_module, "solve_fixed_point_scalar", _bisect_scalar
+    ), mock.patch.object(machine_module, "solve_fixed_point_vector", _bisect_vector):
+        yield
+
+
+def solver_mode(solver: str):
+    """Context running the machine under ``solver`` (``SOLVERS`` id)."""
+    return reference_bisection() if solver == "bisect" else nullcontext()
+
+
+def implied_map(work: WorkRequest, placement):
+    """The machine's own ``u -> implied(u)`` map for one scalar cell.
+
+    A machine whose tolerance no ``implied(0)`` can meet always hands its
+    evaluation closure to the solver; a stub solver captures it and returns
+    the ``u = 0`` state unchanged.
+    """
+    captured = []
+
+    def capture(evaluate, implied0, payload0, tolerance, max_iterations):
+        captured.append(evaluate)
+        return payload0, 0, 0
+
+    machine = Machine(noise_sigma=0.0, fixed_point_tolerance=-1.0)
+    with mock.patch.object(machine_module, "solve_fixed_point_scalar", capture):
+        machine.execute(work, placement, apply_noise=False)
+    (evaluate,) = captured
+    return lambda u: evaluate(u)[0]
 
 
 @st.composite
@@ -84,13 +129,13 @@ def _scalar_problem(a: float):
 
 
 class TestScalarSolver:
-    @pytest.mark.parametrize("solver", FIXED_POINT_SOLVERS)
+    @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("a", [0.01, 0.3, 1.0, 2.5, 40.0])
     def test_converges_to_the_analytic_root(self, solver, a):
         evaluate, root = _scalar_problem(a)
         implied0 = a  # implied(0)
-        (_, u_last), iterations, evaluations = solve_fixed_point_scalar(
-            evaluate, implied0, ("payload", 0.0), 1e-9, 64, solver
+        (_, u_last), iterations, evaluations = _SCALAR[solver](
+            evaluate, implied0, ("payload", 0.0), 1e-9, 64
         )
         assert abs(u_last - root) < 1e-8
         assert iterations == evaluations > 0
@@ -98,15 +143,11 @@ class TestScalarSolver:
     @pytest.mark.parametrize("a", [0.3, 1.0, 2.5, 40.0])
     def test_newton_needs_fewer_evaluations_than_bisect(self, a):
         evaluate, _ = _scalar_problem(a)
-        _, _, newton_evals = solve_fixed_point_scalar(
-            evaluate, a, None, 1e-9, 64, "newton"
-        )
-        _, _, bisect_evals = solve_fixed_point_scalar(
-            evaluate, a, None, 1e-9, 64, "bisect"
-        )
+        _, _, newton_evals = solve_fixed_point_scalar(evaluate, a, None, 1e-9, 64)
+        _, _, bisect_evals = _bisect_scalar(evaluate, a, None, 1e-9, 64)
         assert newton_evals < bisect_evals
 
-    @pytest.mark.parametrize("solver", FIXED_POINT_SOLVERS)
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_every_evaluation_stays_inside_the_initial_bracket(self, solver):
         a = 3.7
         seen = []
@@ -115,25 +156,19 @@ class TestScalarSolver:
             seen.append(u)
             return a / (1.0 + u), None
 
-        solve_fixed_point_scalar(recording, a, None, 1e-12, 64, solver)
+        _SCALAR[solver](recording, a, None, 1e-12, 64)
         assert seen, "the solver must evaluate at least once"
         assert all(0.0 < u <= a for u in seen)
 
     def test_returns_last_payload_on_budget_exhaustion(self):
         evaluate, _ = _scalar_problem(5.0)
         (_, u_last), iterations, _ = solve_fixed_point_scalar(
-            evaluate, 5.0, ("payload", -1.0), 1e-15, 3, "newton"
+            evaluate, 5.0, ("payload", -1.0), 1e-15, 3
         )
         assert iterations == 3
         # The payload is the one produced by the final evaluation, not the
         # seed payload passed in.
         assert u_last != -1.0
-
-    def test_validate_solver(self):
-        for name in FIXED_POINT_SOLVERS:
-            assert validate_solver(name) == name
-        with pytest.raises(ValueError, match="unknown fixed_point_solver"):
-            validate_solver("brent")
 
 
 class TestVectorSolver:
@@ -147,25 +182,23 @@ class TestVectorSolver:
         roots = (np.sqrt(1.0 + 4.0 * a) - 1.0) / 2.0
         return evaluate, roots, calls
 
-    @pytest.mark.parametrize("solver", FIXED_POINT_SOLVERS)
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_all_lanes_converge(self, solver):
         a = np.array([0.01, 0.3, 1.0, 2.5, 40.0])
         evaluate, roots, calls = self._vector_problem(a)
-        iterations, evaluations = solve_fixed_point_vector(
-            evaluate, a.copy(), 1e-9, 64, solver
-        )
+        iterations, evaluations = _VECTOR[solver](evaluate, a.copy(), 1e-9, 64)
         assert iterations == evaluations > 0
         final_u = calls[-1]
         assert np.all(np.abs(final_u - roots) < 1e-8)
 
-    @pytest.mark.parametrize("solver", FIXED_POINT_SOLVERS)
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_converged_lanes_freeze_and_retire(self, solver):
         """Once a lane converges its u never moves again (mask retirement):
         the final sweep re-evaluates every lane at its converged point."""
         # Wildly different scales so lanes converge at different steps.
         a = np.array([1e-3, 0.5, 30.0])
         evaluate, _, calls = self._vector_problem(a)
-        solve_fixed_point_vector(evaluate, a.copy(), 1e-9, 64, solver)
+        _VECTOR[solver](evaluate, a.copy(), 1e-9, 64)
         tolerance = 1e-9
         for lane in range(len(a)):
             converged_at = None
@@ -176,13 +209,11 @@ class TestVectorSolver:
                 elif converged_at is not None:
                     assert u[lane] == converged_at  # frozen bit for bit
 
-    @pytest.mark.parametrize("solver", FIXED_POINT_SOLVERS)
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_inactive_lanes_cost_nothing(self, solver):
         implied0 = np.array([0.0, 1e-12])  # both at/below tolerance
         evaluate, _, calls = self._vector_problem(implied0)
-        iterations, evaluations = solve_fixed_point_vector(
-            evaluate, implied0, 1e-9, 64, solver
-        )
+        iterations, evaluations = _VECTOR[solver](evaluate, implied0, 1e-9, 64)
         assert (iterations, evaluations) == (0, 0)
         assert not calls
 
@@ -190,31 +221,20 @@ class TestVectorSolver:
         a = np.linspace(0.2, 8.0, 32)
         ev_n, _, _ = self._vector_problem(a)
         ev_b, _, _ = self._vector_problem(a)
-        _, newton_sweeps = solve_fixed_point_vector(ev_n, a.copy(), 1e-9, 64, "newton")
-        _, bisect_sweeps = solve_fixed_point_vector(ev_b, a.copy(), 1e-9, 64, "bisect")
+        _, newton_sweeps = solve_fixed_point_vector(ev_n, a.copy(), 1e-9, 64)
+        _, bisect_sweeps = _bisect_vector(ev_b, a.copy(), 1e-9, 64)
         assert newton_sweeps < bisect_sweeps
 
 
 class TestImpliedMapMonotonicity:
     """The physical property the safeguarded solver relies on."""
 
-    _MACHINE = Machine(noise_sigma=0.0)
-
     @given(work=work_requests())
     @_SETTINGS
     def test_implied_minus_u_is_strictly_decreasing(self, work):
-        machine = self._MACHINE
-        placement = CONFIG_4.placement
-        miss_ratios = machine.cache_model.per_thread_miss_ratios(work, placement)
-        capacity = machine.memory_model.effective_capacity_bytes_per_cycle(
-            placement.num_threads, None
-        )
+        implied = implied_map(work, CONFIG_4.placement)
         grid = np.linspace(0.0, 1.5, 13)
-        g = []
-        for u in grid:
-            _, demand = machine._demand_at(work, placement, miss_ratios, u)
-            implied = demand / capacity if capacity > 0 else 0.0
-            g.append(implied - u)
+        g = [implied(u) - u for u in grid]
         diffs = np.diff(g)
         assert np.all(diffs < 0.0)
 
@@ -222,10 +242,11 @@ class TestImpliedMapMonotonicity:
     @_SETTINGS
     def test_newton_equals_bisect_on_scalar_execute(self, work):
         mn = Machine(noise_sigma=0.0, **_TIGHT)
-        mb = Machine(noise_sigma=0.0, fixed_point_solver="bisect", **_TIGHT)
+        mb = Machine(noise_sigma=0.0, **_TIGHT)
         for config in (CONFIG_2B, CONFIG_4):
             rn = mn.execute(work, config, apply_noise=False)
-            rb = mb.execute(work, config, apply_noise=False)
+            with reference_bisection():
+                rb = mb.execute(work, config, apply_noise=False)
             assert rn.time_seconds == pytest.approx(rb.time_seconds, rel=1e-9)
             assert rn.ipc == pytest.approx(rb.ipc, rel=1e-9)
             assert rn.power_watts == pytest.approx(rb.power_watts, rel=1e-9)
@@ -241,10 +262,7 @@ class TestSolverEquivalenceOnGrids:
     """newton vs bisect ≤ 1e-9 on the full NAS × DVFS × ladder spaces."""
 
     def _machines(self):
-        return (
-            Machine(noise_sigma=0.0, **_TIGHT),
-            Machine(noise_sigma=0.0, fixed_point_solver="bisect", **_TIGHT),
-        )
+        return Machine(noise_sigma=0.0, **_TIGHT), Machine(noise_sigma=0.0, **_TIGHT)
 
     def _assert_grids_agree(self, gn, gb):
         for attr in ("time_seconds", "ipc", "power_watts", "energy_joules", "ed2"):
@@ -257,7 +275,8 @@ class TestSolverEquivalenceOnGrids:
             standard_configurations(mn.topology), mn.pstate_table
         )
         gn = mn.execute_grid(nas_works, cross, use_memo=False)
-        gb = mb.execute_grid(nas_works, cross, use_memo=False)
+        with reference_bisection():
+            gb = mb.execute_grid(nas_works, cross, use_memo=False)
         self._assert_grids_agree(gn, gb)
 
     def test_heterogeneous_ladders(self, nas_works):
@@ -265,7 +284,8 @@ class TestSolverEquivalenceOnGrids:
         ladders = heterogeneous_ladders(CONFIG_4, mn.pstate_table)
         assert ladders
         gn = mn.execute_grid(nas_works, ladders, use_memo=False)
-        gb = mb.execute_grid(nas_works, ladders, use_memo=False)
+        with reference_bisection():
+            gb = mb.execute_grid(nas_works, ladders, use_memo=False)
         self._assert_grids_agree(gn, gb)
 
 
@@ -275,14 +295,15 @@ class TestMemoSemanticsAcrossSolvers:
     def test_keys_and_accounting_are_bit_identical(self, nas_works):
         works = nas_works[:12]
         results = {}
-        for solver in FIXED_POINT_SOLVERS:
-            machine = Machine(noise_sigma=0.0, fixed_point_solver=solver)
+        for solver in SOLVERS:
+            machine = Machine(noise_sigma=0.0)
             cross = dvfs_configurations(
                 standard_configurations(machine.topology), machine.pstate_table
             )
-            machine.execute_grid(works, cross)  # cold: all misses
-            machine.execute_grid(works, cross)  # warm: all hits
-            machine.execute_batch(works[0], cross[:3])  # warm subset
+            with solver_mode(solver):
+                machine.execute_grid(works, cross)  # cold: all misses
+                machine.execute_grid(works, cross)  # warm: all hits
+                machine.execute_batch(works[0], cross[:3])  # warm subset
             info = machine.execution_memo_info()
             results[solver] = (
                 tuple(machine.export_execution_memo().keys()),
@@ -323,16 +344,11 @@ class TestMemoSemanticsAcrossSolvers:
         assert memo_block["solver_evaluations"] > 0
         assert memo_block["solver_iterations"] >= 0
 
-    def test_newton_is_the_default_and_bisect_selectable(self):
-        assert Machine().fixed_point_solver == "newton"
-        assert Machine(fixed_point_solver="bisect").fixed_point_solver == "bisect"
-        with pytest.raises(ValueError, match="unknown fixed_point_solver"):
-            Machine(fixed_point_solver="brent")
-
     def test_newton_spends_far_fewer_evaluations_on_a_cold_grid(self, nas_works):
         evals = {}
-        for solver in FIXED_POINT_SOLVERS:
-            machine = Machine(noise_sigma=0.0, fixed_point_solver=solver)
-            machine.execute_grid(nas_works[:10], use_memo=False)
+        for solver in SOLVERS:
+            machine = Machine(noise_sigma=0.0)
+            with solver_mode(solver):
+                machine.execute_grid(nas_works[:10], use_memo=False)
             evals[solver] = machine.execution_memo_info().solver_evaluations
         assert evals["newton"] < evals["bisect"]

@@ -8,14 +8,16 @@ and, via hypothesis, across random synthetic ``WorkRequest`` grids.  The
 grid is the engine underneath oracle construction and training collection,
 so any divergence silently corrupts everything downstream.
 
-The small-batch short-circuit (cold cells below ``small_batch_cutoff`` go
-through the memoized scalar path instead of the vectorized kernel) is
+The small-batch short-circuit (cold cells below ``DEFAULT_SMALL_BATCH_CUTOFF``
+go through the memoized scalar path instead of the vectorized kernel) is
 pinned here behaviourally via the machine's counters; its cold-latency
 claim is asserted by ``benchmarks/bench_machine_grid.py`` (wall-clock
 measurement belongs in the bench tier).
 """
 
 from __future__ import annotations
+
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 import pytest
@@ -27,7 +29,10 @@ from repro.machine import (
     CONFIG_2A,
     CONFIG_2B,
     CONFIG_4,
+    BusState,
+    CPIBreakdown,
     Machine,
+    PowerBreakdown,
     ThreadPlacement,
     WorkRequest,
     configuration_by_name,
@@ -36,6 +41,7 @@ from repro.machine import (
     heterogeneous_ladders,
     standard_configurations,
 )
+from repro.machine.machine import DEFAULT_SMALL_BATCH_CUTOFF
 from repro.machine.topology import dual_socket_xeon
 
 #: Relative tolerance for grid-vs-loop equivalence.  The grid kernel mirrors
@@ -139,29 +145,59 @@ class TestGridEquivalence:
                 )
 
     def test_materialized_results_match_in_full(self, machine, suite, cross_product):
-        """Lazily materialized ExecutionResults agree field by field."""
+        """Lazily materialized ExecutionResults agree field by field.
+
+        Covers homogeneous configurations and every heterogeneous ladder of
+        the standard placements, whose bus demand, capacity and
+        transactions are in per-nanosecond units.
+        """
         works = [suite.get("SP").phases[0].work, suite.get("IS").phases[0].work]
-        grid = machine.execute_grid(works, cross_product, use_memo=False)
+        ladders = [
+            ladder
+            for base in standard_configurations(machine.topology)
+            for ladder in heterogeneous_ladders(base, machine.pstate_table)
+        ]
+        configs = [
+            cross_product[0],
+            cross_product[len(cross_product) // 2],
+            cross_product[-1],
+            *ladders,
+        ]
+        grid = machine.execute_grid(works, configs, use_memo=False)
         for wi, work in enumerate(works):
-            for ci in (0, len(cross_product) // 2, len(cross_product) - 1):
-                config = cross_product[ci]
+            for ci, config in enumerate(configs):
+                context = (wi, config.name)
                 reference = machine.execute(work, config, apply_noise=False)
                 materialized = grid.result(wi, ci)
-                assert materialized.pstate == reference.pstate
+                assert materialized.pstate == reference.pstate, context
+                assert materialized.pstates == reference.pstates, context
+                assert materialized.frequency_ghz == reference.frequency_ghz, context
                 assert materialized.thread_ipcs == pytest.approx(
                     reference.thread_ipcs, rel=_RTOL
-                )
+                ), context
+                assert len(materialized.thread_cpi) == len(reference.thread_cpi)
+                for got, want in zip(materialized.thread_cpi, reference.thread_cpi):
+                    for f in dataclass_fields(CPIBreakdown):
+                        assert getattr(got, f.name) == pytest.approx(
+                            getattr(want, f.name), rel=_RTOL
+                        ), (*context, "cpi", f.name)
+                for f in dataclass_fields(BusState):
+                    assert getattr(materialized.bus, f.name) == pytest.approx(
+                        getattr(reference.bus, f.name), rel=_RTOL
+                    ), (*context, "bus", f.name)
+                for f in dataclass_fields(PowerBreakdown):
+                    if f.name != "components":
+                        assert getattr(materialized.power, f.name) == pytest.approx(
+                            getattr(reference.power, f.name), rel=_RTOL
+                        ), (*context, "power", f.name)
+                assert materialized.power.components == pytest.approx(
+                    reference.power.components, rel=_RTOL
+                ), context
                 assert set(materialized.event_counts) == set(reference.event_counts)
                 for event, value in reference.event_counts.items():
                     assert materialized.event_counts[event] == pytest.approx(
                         value, rel=_RTOL, abs=1e-9
-                    ), event
-                assert materialized.bus.utilization == pytest.approx(
-                    reference.bus.utilization, rel=_RTOL
-                )
-                assert materialized.power.total_watts == pytest.approx(
-                    reference.power.total_watts, rel=_RTOL
-                )
+                    ), (*context, event)
 
     def test_heterogeneous_thread_counts_on_dual_socket(self, suite):
         """Padded rows (1..8 threads) match the scalar path on 8 cores."""
@@ -292,7 +328,8 @@ class TestHeterogeneousGrid:
     def test_mixed_homogeneous_and_heterogeneous_calls_partition(
         self, machine, compute_work, bandwidth_work
     ):
-        """One grid call mixing both kernel paths stays cell-exact."""
+        """One grid call mixing shared-clock and per-core rows stays
+        cell-exact."""
         table = machine.pstate_table
         configs = [
             configuration_by_name("4", table),
@@ -310,7 +347,7 @@ class TestHeterogeneousGrid:
                 _assert_cell_matches(grid, wi, ci, reference, (wi, config.name))
 
     def test_noisy_mixed_grid_consumes_the_scalar_rng_stream(self, suite):
-        """Partitioned kernels draw one jitter per cell in row-major order."""
+        """Mixed rows draw one jitter per cell in row-major order."""
         table = default_pstate_table()
         configs = [
             configuration_by_name("4", table),
@@ -481,7 +518,7 @@ class TestGridMemo:
         # The cold row (above the short-circuit cutoff) went through the
         # compacted kernel — only the works and configs with cold cells are
         # set up; values still match the scalar path.
-        assert len(cross_product) >= machine.small_batch_cutoff
+        assert len(cross_product) >= DEFAULT_SMALL_BATCH_CUTOFF
         reference = Machine(noise_sigma=0.0)
         for ci, config in enumerate(cross_product):
             expected = reference.execute(bandwidth_work, config, apply_noise=False)
@@ -530,7 +567,7 @@ class TestSmallBatchShortCircuit:
         """Sweeps below the crossover short-circuit, with identical results."""
         fresh = Machine(noise_sigma=0.0)
         configs = standard_configurations(fresh.topology)
-        assert len(configs) < fresh.small_batch_cutoff
+        assert len(configs) < DEFAULT_SMALL_BATCH_CUTOFF
         work = suite.get("SP").phases[0].work
         batch = fresh.execute_batch(work, configs)
         assert fresh.small_batch_shortcircuits == 1
@@ -553,34 +590,24 @@ class TestSmallBatchShortCircuit:
         crossover ~6 cells), so the cross-product must not short-circuit."""
         fresh = Machine(noise_sigma=0.0)
         work = suite.get("SP").phases[0].work
-        assert len(cross_product) >= fresh.small_batch_cutoff
+        assert len(cross_product) >= DEFAULT_SMALL_BATCH_CUTOFF
         fresh.execute_batch(work, cross_product)
         assert fresh.small_batch_shortcircuits == 0
 
     def test_grids_above_the_cutoff_use_the_kernel(self, suite, cross_product):
         fresh = Machine(noise_sigma=0.0)
         works = [p.work for w in suite for p in w.phases][:4]
-        assert len(works) * len(cross_product) >= fresh.small_batch_cutoff
+        assert len(works) * len(cross_product) >= DEFAULT_SMALL_BATCH_CUTOFF
         fresh.execute_grid(works, cross_product)
         assert fresh.small_batch_shortcircuits == 0
 
     def test_memo_bypass_always_uses_the_kernel(self, suite):
         fresh = Machine(noise_sigma=0.0)
         configs = standard_configurations(fresh.topology)
-        assert len(configs) < fresh.small_batch_cutoff  # would short-circuit
+        assert len(configs) < DEFAULT_SMALL_BATCH_CUTOFF  # would short-circuit
         work = suite.get("SP").phases[0].work
         fresh.execute_batch(work, configs, use_memo=False)
         assert fresh.small_batch_shortcircuits == 0
-
-    def test_cutoff_zero_disables_the_shortcircuit(self, suite):
-        fresh = Machine(noise_sigma=0.0, small_batch_cutoff=0)
-        work = suite.get("SP").phases[0].work
-        fresh.execute_batch(work, [CONFIG_4])  # 1 cold cell, kernel anyway
-        assert fresh.small_batch_shortcircuits == 0
-
-    def test_negative_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            Machine(small_batch_cutoff=-1)
 
     def test_single_cell_batches_avoid_the_kernel(self, suite):
         """The dominant small-batch shape — one sample cell per phase —
@@ -592,41 +619,3 @@ class TestSmallBatchShortCircuit:
             fresh.execute_batch(phase.work, [CONFIG_4])
         assert fresh.small_batch_shortcircuits == len(suite.get("CG").phases)
         assert fresh.batch_cells_computed == len(suite.get("CG").phases)
-
-
-class TestAutoSmallBatchCutoff:
-    """``small_batch_cutoff="auto"`` measures the kernel setup cost once."""
-
-    def test_auto_resolves_lazily_to_a_clamped_int(self, suite):
-        machine = Machine(noise_sigma=0.0, small_batch_cutoff="auto")
-        assert machine.small_batch_cutoff == "auto"  # not resolved yet
-        work = suite.get("CG").phases[0].work
-        machine.execute_batch(work, [CONFIG_4])
-        resolved = machine.small_batch_cutoff
-        assert isinstance(resolved, int)
-        assert 1 <= resolved <= 64
-
-    def test_calibration_runs_once_and_leaves_counters_untouched(self, suite):
-        machine = Machine(noise_sigma=0.0, small_batch_cutoff="auto")
-        first = machine._effective_small_batch_cutoff()
-        # Calibration probes must not leak into the observable accounting.
-        assert machine.batch_cells_computed == 0
-        assert machine.solver_evaluations == 0
-        assert machine.execution_memo_info().size == 0
-        assert machine._effective_small_batch_cutoff() == first
-        assert machine.small_batch_cutoff == first
-
-    def test_calibrated_machine_matches_explicit_cutoff_values(self, suite):
-        """Auto only changes *when* the kernel is used, never what it says."""
-        auto = Machine(noise_sigma=0.0, small_batch_cutoff="auto")
-        explicit = Machine(noise_sigma=0.0)
-        work = suite.get("SP").phases[0].work
-        configs = standard_configurations(auto.topology)
-        a = auto.execute_batch(work, configs, use_memo=False)
-        b = explicit.execute_batch(work, configs, use_memo=False)
-        np.testing.assert_array_equal(a.time_seconds, b.time_seconds)
-        np.testing.assert_array_equal(a.ipc, b.ipc)
-
-    def test_invalid_cutoff_strings_rejected(self):
-        with pytest.raises(ValueError, match="small_batch_cutoff"):
-            Machine(small_batch_cutoff="bogus")
