@@ -48,6 +48,13 @@ from repro.workloads import nas_suite
 
 _ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_fixed_point.json"
 
+#: Newton must spend at most 1/this of bisection's model sweeps.
+SWEEP_RATIO_FLOOR = 2.0
+#: Fixed-point stage speedup of newton over bisection.
+STAGE_SPEEDUP_FLOOR = 2.5
+#: Newton's full cold grid must take at most this fraction of bisection's.
+GRID_SECONDS_RATIO_MAX = 0.9
+
 
 def _best_of(repetitions: int, fn):
     timings = []
@@ -146,6 +153,11 @@ def test_newton_vs_bisect_cold_grid_throughput_and_artifact():
             "bisect_seconds": hetero_bisect,
             "grid_speedup": hetero_bisect / hetero_newton,
         },
+        "floors": {
+            "model_sweep_ratio": SWEEP_RATIO_FLOOR,
+            "fixed_point_stage_speedup": STAGE_SPEEDUP_FLOOR,
+            "newton_over_bisect_grid_seconds_max": GRID_SECONDS_RATIO_MAX,
+        },
     }
     _ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
 
@@ -157,18 +169,18 @@ def test_newton_vs_bisect_cold_grid_throughput_and_artifact():
         f"vs {bisect_seconds * 1e3:.2f} ms ({grid_speedup:.2f}x); "
         f"heterogeneous grid {hetero_bisect / hetero_newton:.2f}x"
     )
-    assert newton_evals <= bisect_evals / 2, (
+    assert newton_evals <= bisect_evals / SWEEP_RATIO_FLOOR, (
         f"newton spent {newton_evals} model sweeps vs bisect's {bisect_evals} "
         f"— the secant step is not cutting evaluation counts"
     )
-    assert stage_speedup >= 2.5, (
+    assert stage_speedup >= STAGE_SPEEDUP_FLOOR, (
         f"newton's fixed-point stage only {stage_speedup:.1f}x faster than "
         f"bisect's (newton {newton_stage * 1e3:.2f} ms, bisect "
         f"{bisect_stage * 1e3:.2f} ms over {cells} cells)"
     )
     # End-to-end ratchet: the full cold grid must stay strictly faster under
     # the default solver (parity-with-slack guards loaded machines).
-    assert newton_seconds <= bisect_seconds * 0.9, (
+    assert newton_seconds <= bisect_seconds * GRID_SECONDS_RATIO_MAX, (
         f"cold grid under newton ({newton_seconds * 1e3:.2f} ms) is not "
         f"beating bisect ({bisect_seconds * 1e3:.2f} ms)"
     )

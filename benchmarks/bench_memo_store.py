@@ -32,6 +32,9 @@ from repro.workloads import nas_suite
 
 _ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_memo_store.json"
 
+#: The restarted process must simulate at most 1/this of the cold misses.
+MISS_RATIO_FLOOR = 10
+
 
 def _best_of(repetitions: int, fn):
     timings = []
@@ -80,7 +83,6 @@ def test_store_warm_restart_skips_cold_cells(tmp_path):
     seeded = warm_store.seed(warm_machine)
     seed_seconds = time.perf_counter() - seed_started
     assert seeded == appended
-    seeded_snapshot = warm_machine.export_execution_memo()
     warm_started = time.perf_counter()
     warm_grid = warm_machine.execute_grid(works, configs)
     warm_seconds = time.perf_counter() - warm_started
@@ -90,13 +92,13 @@ def test_store_warm_restart_skips_cold_cells(tmp_path):
         f"restarted process re-simulated {warm_misses} cells that the store "
         f"already held"
     )
-    assert warm_misses * 10 <= cold_misses, (
+    assert warm_misses * MISS_RATIO_FLOOR <= cold_misses, (
         f"store-warm run computed {warm_misses} cold cells vs {cold_misses} "
-        f"on the cold run — the >= 10x warm-start floor does not hold"
+        f"on the cold run — the >= {MISS_RATIO_FLOOR}x warm-start floor does not hold"
     )
     # Nothing new was computed beyond the seed, so the restarted
     # process publishes nothing.
-    assert warm_store.absorb(warm_machine, since=seeded_snapshot) == 0
+    assert warm_store.absorb(warm_machine) == 0
 
     # --- compaction: fold the segment log, seed again from the base ------
     compaction = warm_store.compact()
@@ -130,6 +132,7 @@ def test_store_warm_restart_skips_cold_cells(tmp_path):
             "base_seed_seconds": compact_seed_seconds,
         },
         "store": warm_store.info().as_dict(),
+        "floors": {"cold_to_warm_miss_ratio": MISS_RATIO_FLOOR},
     }
     _ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
 

@@ -52,7 +52,8 @@ It then demonstrates the eight scaling features of the serving path:
   recovery, cross-revision schema guards and non-blocking compaction,
   wired into ``run_cells(..., memo_store=...)`` and
   ``GridHandler(memo_store=...)`` so a restarted sweep or adaptation
-  server re-simulates nothing it already knows;
+  server re-simulates nothing it already knows — the store is the one
+  channel through which the memo is shared;
 * the **sharded adaptation fleet** — ``ShardedAdaptationServer`` runs N
   fully independent server shards (each its own event-loop thread,
   batcher and handler) behind one ``submit()`` / TCP front door, routing
@@ -216,9 +217,8 @@ def main() -> None:
     #     a benchmark (or several benchmarks) against a configuration space
     #     in one kernel launch — this is what oracle construction and
     #     training collection run on — and ship the resulting memo cells to
-    #     other processes as a picklable snapshot.  `run_cells(...,
-    #     memo_machine=...)` does the seed/merge round-trip automatically;
-    #     worker activity shows up as merged_hits / merged_misses.
+    #     other processes as a picklable snapshot (section 10 shares them
+    #     through a durable memo store instead).
     grid = machine.execute_grid([p.work for p in target.phases])
     print()
     print(
@@ -267,18 +267,6 @@ def main() -> None:
         f"(vs {machine.execute(phase0, configuration_by_name('4'), apply_noise=False).power_watts:.1f} W all-nominal)"
     )
     print(f"  best ED2 over the enlarged space: {ladder_sweep.best('ed2')[0].name}")
-    # The memo survives process restarts: persist it to disk and reload.
-    import tempfile, pathlib
-
-    memo_path = pathlib.Path(tempfile.mkdtemp()) / "memo.pkl"
-    saved = machine.save_execution_memo(memo_path)
-    restarted = Machine(noise_sigma=0.0)
-    restarted.load_execution_memo(memo_path)
-    replay = restarted.execute_grid([phase0], enlarged)
-    print(
-        f"  memo persisted to disk ({saved} cells); restarted machine "
-        f"re-simulated {replay.memo_misses} cells"
-    )
 
     # 7. Serving adaptation decisions: the same predict-and-select loop as
     #    a micro-batching asyncio service.  Many concurrent clients submit
@@ -390,28 +378,23 @@ def main() -> None:
     #     logged count, never silently merged), `compact()` folds the log
     #     into one base without blocking readers, and both `run_cells` and
     #     the service's `GridHandler` accept `memo_store=` to warm-start
-    #     from it.  Here a "restarted" sweep — a fresh store handle on the
-    #     same directory, as a new process would construct — re-simulates
-    #     zero previously stored cells.
+    #     from it and publish what they simulate.  Here a "restarted"
+    #     sweep — a fresh store handle on the same directory, as a new
+    #     process would construct — re-simulates, and so appends, zero
+    #     previously stored cells.
     with tempfile.TemporaryDirectory() as scratch:
         directory = Path(scratch) / "memo-store"
         run_cells(cells, bundle=bundle, memo_store=MemoStore(directory))
         restarted_store = MemoStore(directory)
-        restarted_host = Machine(noise_sigma=0.0)
-        run_cells(
-            cells,
-            bundle=bundle,
-            memo_store=restarted_store,
-            memo_machine=restarted_host,
-        )
-        info = restarted_host.execution_memo_info()
+        run_cells(cells, bundle=bundle, memo_store=restarted_store)
+        info = restarted_store.info()
         compaction = restarted_store.compact()
         print()
         print(
             f"Persistent memo store: restarted sweep re-simulated "
-            f"{info.merged_misses} cells ({info.merged_hits} served from "
-            f"disk); compacted {compaction.folded_files} segment(s) into "
-            f"a {compaction.cells}-cell base"
+            f"{info.cells_appended} cells ({info.segments_replayed} segment "
+            f"replays from disk); compacted {compaction.folded_files} "
+            f"segment(s) into a {compaction.cells}-cell base"
         )
 
     # 11. The sharded fleet: N independent server shards (one event-loop

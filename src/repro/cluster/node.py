@@ -16,7 +16,7 @@ adds the fleet-level concerns the single-node library has no word for:
   machine's execution memo, in the style of
   :class:`~repro.service.GridHandler`: the node seeds its machine from
   the store when attached and publishes each sweep's freshly simulated
-  cells as an atomic delta segment.
+  cells through :meth:`~repro.store.MemoStore.absorb`.
 
 The one compute entry point is :meth:`Node.sweep` — a single memo-backed
 :meth:`~repro.machine.Machine.execute_grid` launch over *all* candidate
@@ -128,7 +128,6 @@ class Node:
             raise ValueError(f"node {name!r} has an empty configuration space")
         self.straggler_factor = straggler_factor
         self.memo_store: Optional[MemoStore] = None
-        self._persisted_keys: Optional[set] = None
         self._sweep_cache: Optional[tuple] = None
         if memo_store is not None:
             self.attach_store(memo_store)
@@ -173,22 +172,12 @@ class Node:
 
         Seeds the machine from the store immediately (a rebuilt fleet
         answers previously swept jobs from disk, bit-identically) and
-        arranges for :meth:`sweep` to publish fresh cells as delta
-        segments.
+        arranges for :meth:`sweep` to publish every cell the machine has
+        simulated since its last publish — cells simulated before the
+        store was attached included — as delta segments.
         """
         store.seed(self.machine)
         self.memo_store = store
-        self._persisted_keys = set(self.machine.export_execution_memo().keys())
-
-    def _persist_new_cells(self) -> None:
-        if self.memo_store is None:
-            return
-        assert self._persisted_keys is not None
-        delta = self.machine.export_execution_memo(since=self._persisted_keys)
-        if len(delta) == 0:
-            return
-        self.memo_store.append(delta)
-        self._persisted_keys.update(delta.keys())
 
     # ------------------------------------------------------------------
     def sweep(self, works: Sequence[WorkRequest]) -> NodeSweep:
@@ -220,7 +209,8 @@ class Node:
         if self._sweep_cache is not None and self._sweep_cache[0] == cache_key:
             return self._sweep_cache[1]
         grid = self.machine.execute_grid(works, self.configurations)
-        self._persist_new_cells()
+        if self.memo_store is not None:
+            self.memo_store.absorb(self.machine)
         times = grid.metric("time_seconds")
         if self._straggler_factor != 1.0:
             times = times * self._straggler_factor

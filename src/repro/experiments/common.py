@@ -22,12 +22,11 @@ aggregates to the serial one.
 
 from __future__ import annotations
 
-import logging
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,14 +47,13 @@ from ..core.training import (
     train_predictor_bundle,
 )
 from ..machine.dvfs import PStateTable, default_pstate_table
-from ..machine.machine import ExecutionMemoSnapshot, Machine
+from ..machine.machine import Machine
 from ..machine.placement import (
     CONFIG_4,
     Configuration,
     configuration_by_name,
     standard_configurations,
 )
-from ..machine.work import WorkRequest
 from ..openmp.runtime import OpenMPRuntime, WorkloadRunReport
 from ..store.memo_store import MemoStore
 from ..workloads.base import Workload, WorkloadSuite
@@ -70,8 +68,6 @@ __all__ = [
     "execute_cell",
     "run_cells",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -412,122 +408,63 @@ def build_cell_policy(
 def execute_cell(
     cell: RunCell,
     bundle: Optional[PredictorBundle] = None,
-    memo_snapshot: Optional[ExecutionMemoSnapshot] = None,
+    memo_store: Optional[MemoStore] = None,
 ) -> WorkloadRunReport:
     """Execute one cell from scratch, deterministically in its own seed.
 
     Builds a fresh machine, suite, runtime and policy so the outcome depends
     only on the cell description (and the bundle, for prediction policies) —
-    never on shared mutable state of the calling process.  An optional
-    ``memo_snapshot`` seeds the calibration machine's noise-free execution
-    memo; cells exported by an equivalently-parameterized machine are
-    deterministic, so seeding never changes a report (:func:`run_cells`
-    guards the equivalence when handed a ``memo_machine``).
-    """
-    report, _ = _execute_cell_with_memo(cell, bundle, memo_snapshot)
-    return report
-
-
-def _execute_cell_with_memo(
-    cell: RunCell,
-    bundle: Optional[PredictorBundle],
-    memo_snapshot: Optional[ExecutionMemoSnapshot],
-) -> Tuple[WorkloadRunReport, Optional[ExecutionMemoSnapshot]]:
-    """Run one cell and return ``(report, memo delta)``.
+    never on shared mutable state of the calling process.
 
     The noise-free work a cell repeats — the suite calibration probes, one
-    per NAS phase — runs on a deterministic calibration machine seeded from
-    ``memo_snapshot``, so a warm snapshot means zero re-simulation.  The
-    delta contains only the cells this execution simulated itself (cells
-    carried in via the snapshot are excluded) plus the calibration
-    machine's own hit/miss counters, so the parent can merge both the
-    cells and the cross-process accounting (``None`` when no snapshot
-    sharing was requested).  The noisy cell machine itself never memoizes,
-    so deltas never carry noisy executions.
+    per NAS phase — runs on a default-parameter calibration machine.  With
+    a ``memo_store`` that machine is seeded from the store before the cell
+    runs, so a warm store means zero re-simulation, and the cells it
+    simulated itself are published back with
+    :meth:`~repro.store.MemoStore.absorb` afterwards.  Memoized cells are
+    deterministic, so seeding never changes a report.  The noisy cell
+    machine itself never memoizes, so nothing noisy is ever published.
     """
     machine = Machine(seed=_CELL_MACHINE_SEED_BASE + cell.seed)
     calibration = Machine(noise_sigma=0.0)
-    if memo_snapshot is not None:
-        calibration.merge_execution_memo(memo_snapshot)
+    if memo_store is not None:
+        memo_store.seed(calibration)
     suite = nas_suite(machine=calibration)
     workload = suite.get(cell.workload)
     runtime = OpenMPRuntime(machine, seed=cell.seed, keep_executions=False)
     actor = ACTOR(runtime)
     policy = build_cell_policy(cell.policy, bundle)
     report = actor.run_with_policy(workload, policy, max_timesteps=cell.max_timesteps)
-    if memo_snapshot is None:
-        return report, None
-    return report, calibration.export_execution_memo(since=memo_snapshot)
+    if memo_store is not None:
+        memo_store.absorb(calibration)
+    return report
 
 
-#: Deterministic reference outcome of the memo-host compatibility probe,
-#: computed once (a default-parameter machine is what every cell builds).
-_MEMO_PROBE = WorkRequest(instructions=1e8)
-_MEMO_PROBE_REFERENCE: Optional[Tuple[float, float, float]] = None
-
-
-def _assert_memo_host_compatible(memo_machine: Machine) -> None:
-    """Reject memo hosts whose model parameters diverge from cell machines.
-
-    Memo keys carry no model-parameter information (only work fingerprint,
-    placement and P-state), so a host built with a different CPU/power/
-    memory model would silently serve wrong calibration cells to every
-    worker.  Cell calibration machines are default-parameter noise-free
-    machines; a canonical probe executed through the scalar path must
-    therefore agree exactly.
-
-    The probe is side-effect free on the host: the scalar
-    :meth:`~repro.machine.Machine.execute` path never consults *or
-    mutates* the execution memo, so this check leaves the host's memo
-    contents and its hit/miss counters exactly as it found them
-    (regression-tested in ``tests/test_runner_parallel.py``).
-    """
-    global _MEMO_PROBE_REFERENCE
-    if _MEMO_PROBE_REFERENCE is None:
-        result = Machine(noise_sigma=0.0).execute(
-            _MEMO_PROBE, CONFIG_4, apply_noise=False
-        )
-        _MEMO_PROBE_REFERENCE = (result.time_seconds, result.ipc, result.power_watts)
-    try:
-        hosted = memo_machine.execute(_MEMO_PROBE, CONFIG_4, apply_noise=False)
-    except KeyError as exc:  # e.g. a topology without the probe's cores
-        raise ValueError(
-            "memo_machine is not compatible with run_cells cell machines: "
-            f"probe execution failed ({exc})"
-        ) from exc
-    if (hosted.time_seconds, hosted.ipc, hosted.power_watts) != _MEMO_PROBE_REFERENCE:
-        raise ValueError(
-            "memo_machine is not compatible with run_cells cell machines: "
-            "a canonical probe produced different results, so its memo "
-            "cells would corrupt worker calibration.  Use a "
-            "default-parameter Machine(noise_sigma=0.0) as the memo host."
-        )
-
-
-#: Bundle and memo snapshot shipped to pool workers once (via the pool
-#: initializer) rather than once per submitted cell.
+#: Bundle and memo store of a pool worker, set once by the pool initializer
+#: rather than shipped with every submitted cell.
 _WORKER_BUNDLE: Optional[PredictorBundle] = None
-_WORKER_MEMO: Optional[ExecutionMemoSnapshot] = None
+_WORKER_STORE: Optional[MemoStore] = None
 
 
 def _init_cell_worker(
     bundle: Optional[PredictorBundle],
     builders: Dict[str, Callable[[Optional[PredictorBundle]], AdaptationPolicy]],
-    memo_snapshot: Optional[ExecutionMemoSnapshot] = None,
+    store_directory: Optional[str] = None,
 ) -> None:
-    global _WORKER_BUNDLE, _WORKER_MEMO
+    global _WORKER_BUNDLE, _WORKER_STORE
     _WORKER_BUNDLE = bundle
-    _WORKER_MEMO = memo_snapshot
+    # A MemoStore holds locks and does not pickle: each worker opens its
+    # own handle on the directory.  Compaction stays with the caller's
+    # store, so workers open it without a policy.
+    _WORKER_STORE = None if store_directory is None else MemoStore(store_directory)
     # Ship the caller's policy registry explicitly instead of relying on the
     # fork start method copying module state (spawn/forkserver workers
     # re-import this module with an empty registry).
     POLICY_BUILDERS.update(builders)
 
 
-def _cell_worker(
-    cell: RunCell,
-) -> Tuple[WorkloadRunReport, Optional[ExecutionMemoSnapshot]]:
-    return _execute_cell_with_memo(cell, _WORKER_BUNDLE, _WORKER_MEMO)
+def _cell_worker(cell: RunCell) -> WorkloadRunReport:
+    return execute_cell(cell, _WORKER_BUNDLE, _WORKER_STORE)
 
 
 def run_cells(
@@ -535,7 +472,6 @@ def run_cells(
     bundle: Optional[PredictorBundle] = None,
     processes: int = 1,
     retry_failed_serially: bool = True,
-    memo_machine: Optional[Machine] = None,
     memo_store: Optional[MemoStore] = None,
 ) -> List[WorkloadRunReport]:
     """Run every cell and return its report, in input order.
@@ -558,33 +494,17 @@ def run_cells(
         re-run them serially in the calling process instead of losing the
         whole sweep.  Cells whose failure is deterministic will then raise
         in the caller with an ordinary traceback.
-    memo_machine:
-        Host of a shared noise-free execution memo.  Its memo snapshot
-        seeds every cell's calibration machine (serial or worker) so no
-        cell re-simulates suite-calibration probes the host already knows,
-        and each cell's memo *delta* — plus its hit/miss accounting — is
-        merged back into the host afterwards (visible as ``merged_hits`` /
-        ``merged_misses`` in
-        :meth:`~repro.machine.Machine.execution_memo_info`).  The host
-        must be equivalently parameterized to the default cell machines
-        (e.g. ``Machine(noise_sigma=0.0)``); a canonical-probe check
-        rejects incompatible hosts (and leaves the host's memo and
-        counters untouched).  First-generation pool cells seed from the
-        host's state at call time; the retry pool and the serial fallback
-        re-seed from the host's *current* memo, which by then includes the
-        deltas absorbed from every cell that already succeeded.  Memoized
-        cells are deterministic, so reports stay bit-identical between
-        the serial and parallel paths either way.
     memo_store:
-        Durable :class:`~repro.store.MemoStore` backing the shared memo
-        across process restarts, runs and hosts.  Before any cell runs,
-        the host machine is seeded from the store (base snapshot plus
-        append-only delta segments), so pool workers warm-start from
-        disk; when the sweep finishes — or fails partway — the cells the
-        batch computed beyond the store's contents are published as one
-        new atomic segment.  When no ``memo_machine`` is passed, a
-        default ``Machine(noise_sigma=0.0)`` host is created to carry
-        the store's memo.
+        Durable :class:`~repro.store.MemoStore` sharing the noise-free
+        execution memo between cells, processes, runs and hosts.  Every
+        cell — serial, in a pool worker, retried or in the serial
+        fallback — seeds its calibration machine from the store before it
+        runs and publishes the cells it simulated itself afterwards (see
+        :func:`execute_cell`), so each cell starts from whatever earlier
+        cells have published.  Pool workers open their own handle on the
+        store's directory; the caller's store checks its compaction policy
+        once the pool drains.  Memoized cells are deterministic, so
+        reports stay bit-identical with or without a store.
 
     Notes
     -----
@@ -595,116 +515,34 @@ def run_cells(
     (with a ``RuntimeWarning`` naming how many).
     """
     cells = list(cells)
-    if not cells:
-        return []
-    if memo_store is not None and memo_machine is None:
-        # The store needs a host to replay into and export deltas from; a
-        # default-parameter noise-free machine is exactly what every cell's
-        # calibration machine is.
-        memo_machine = Machine(noise_sigma=0.0)
-    snapshot: Optional[ExecutionMemoSnapshot] = None
-    persisted: Optional[ExecutionMemoSnapshot] = None
-    if memo_machine is not None:
-        _assert_memo_host_compatible(memo_machine)
-        if memo_store is not None:
-            memo_store.seed(memo_machine)
-        snapshot = memo_machine.export_execution_memo()
-        # Everything in `snapshot` is already durable (or host-private when
-        # no store is involved); the batch-end flush publishes only what
-        # the host absorbs beyond it.
-        persisted = snapshot
-    try:
-        reports = _run_cells_against_host(
-            cells, bundle, processes, retry_failed_serially, memo_machine, snapshot
-        )
-    except BaseException:
-        if memo_store is not None and memo_machine is not None:
-            # Best-effort publish of whatever the aborted sweep already
-            # simulated, so its successor still warm-starts — but a store
-            # write failure (disk full, permissions) must not replace the
-            # actual sweep failure propagating right now.
-            try:
-                memo_store.absorb(memo_machine, since=persisted)
-            except Exception:
-                logger.exception(
-                    "failed to persist the partial execution memo to %s "
-                    "while a sweep failure was propagating",
-                    memo_store.directory,
-                )
-        raise
-    if memo_store is not None and memo_machine is not None:
-        # Publish the cells this batch simulated (host + workers) as one
-        # atomic segment.  An empty delta is a no-op.
-        memo_store.absorb(memo_machine, since=persisted)
-    return reports
-
-
-def _run_cells_against_host(
-    cells: List[RunCell],
-    bundle: Optional[PredictorBundle],
-    processes: int,
-    retry_failed_serially: bool,
-    memo_machine: Optional[Machine],
-    snapshot: Optional[ExecutionMemoSnapshot],
-) -> List[WorkloadRunReport]:
-    """The serial/pool execution body of :func:`run_cells` (see there)."""
-
-    def _absorb(delta: Optional[ExecutionMemoSnapshot]) -> None:
-        if memo_machine is not None and delta is not None:
-            memo_machine.merge_execution_memo(delta)
-
     if processes <= 1:
-        reports: List[WorkloadRunReport] = []
-        current = snapshot
-        for cell in cells:
-            report, delta = _execute_cell_with_memo(cell, bundle, current)
-            # Serially, later cells can seed from what earlier cells just
-            # simulated.  The delta was exported with since=current, so it
-            # is disjoint from the current snapshot and extending is O(delta)
-            # — no full re-export of the host memo.  (Pool workers all seed
-            # from the call-time snapshot; either way reports are
-            # bit-identical, memoized cells being deterministic.)
-            if (
-                memo_machine is not None
-                and delta is not None
-                and memo_machine.merge_execution_memo(delta) > 0
-            ):
-                current = ExecutionMemoSnapshot(
-                    schema=delta.schema,
-                    cells=current.cells + delta.cells,
-                )
-            reports.append(report)
-        return reports
+        return [execute_cell(cell, bundle, memo_store) for cell in cells]
 
+    store_directory = None if memo_store is None else str(memo_store.directory)
     results: Dict[int, WorkloadRunReport] = {}
     pending = list(range(len(cells)))
     for _pool_generation in range(2):
         if not pending:
             break
-        if _pool_generation and memo_machine is not None:
-            # The first generation already absorbed the deltas of every cell
-            # that succeeded; seed the retry pool from the host's *current*
-            # memo instead of the stale call-time snapshot, so retried cells
-            # skip whatever their healthy neighbours just simulated.
-            snapshot = memo_machine.export_execution_memo()
         failed: List[int] = []
         max_workers = min(processes, len(pending), os.cpu_count() or 1)
         with ProcessPoolExecutor(
             max_workers=max_workers,
             initializer=_init_cell_worker,
-            initargs=(bundle, dict(POLICY_BUILDERS), snapshot),
+            initargs=(bundle, dict(POLICY_BUILDERS), store_directory),
         ) as pool:
             futures = {index: pool.submit(_cell_worker, cells[index]) for index in pending}
             for index, future in futures.items():
                 try:
-                    results[index], delta = future.result()
-                    _absorb(delta)
+                    results[index] = future.result()
                 except Exception:
                     # Covers both a cell raising inside its worker and the
                     # pool dying underneath it (BrokenProcessPool fails every
                     # outstanding future); the next generation sorts out which.
                     failed.append(index)
         pending = failed
+    if memo_store is not None:
+        memo_store.maybe_compact()
     if pending:
         if not retry_failed_serially:
             raise RuntimeError(
@@ -715,26 +553,8 @@ def _run_cells_against_host(
             f"{len(pending)} of {len(cells)} cells failed in two worker-pool "
             f"generations; re-running them serially in the caller",
             RuntimeWarning,
-            stacklevel=3,
-        )
-        # Like the retry pool, the serial fallback seeds from the host's
-        # current (delta-absorbed) memo — not the call-time snapshot — and
-        # later fallback cells extend it with earlier ones' deltas, exactly
-        # as the processes=1 path does.
-        current = (
-            memo_machine.export_execution_memo() if memo_machine is not None else None
+            stacklevel=2,
         )
         for index in pending:
-            results[index], delta = _execute_cell_with_memo(
-                cells[index], bundle, current
-            )
-            if (
-                memo_machine is not None
-                and delta is not None
-                and memo_machine.merge_execution_memo(delta) > 0
-            ):
-                current = ExecutionMemoSnapshot(
-                    schema=delta.schema,
-                    cells=current.cells + delta.cells,
-                )
+            results[index] = execute_cell(cells[index], bundle, memo_store)
     return [results[index] for index in range(len(cells))]

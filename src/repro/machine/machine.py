@@ -27,12 +27,14 @@ Noise-free batch and grid results match looped ``execute`` calls to
 floating-point accuracy, and a per-machine LRU memo (keyed by work
 fingerprint, placement and per-core P-state operating points) serves
 repeated cells without re-simulation — oracle construction and
-training-data collection share it automatically.  The memo travels across
-processes as a picklable snapshot (:meth:`Machine.export_execution_memo` /
-:meth:`Machine.merge_execution_memo`), survives process restarts on disk
-(:meth:`Machine.save_execution_memo` / :meth:`Machine.load_execution_memo`),
-and calls with fewer than ``DEFAULT_SMALL_BATCH_CUTOFF`` cold cells skip the
-kernel's fixed setup cost through the memoized scalar path.
+training-data collection share it automatically.  Every cell the machine
+simulates itself is also recorded in a bounded journal, which
+:meth:`Machine.drain_new_cells` hands over as a picklable snapshot; the
+durable :class:`~repro.store.MemoStore` is the one channel that shares and
+persists the memo across processes and restarts (``seed`` merges a
+snapshot in, ``absorb`` publishes the drained journal).  Calls with fewer
+than ``DEFAULT_SMALL_BATCH_CUTOFF`` cold cells skip the kernel's fixed
+setup cost through the memoized scalar path.
 
 Configurations may pin **heterogeneous per-core P-states**
 (``Configuration(pstate_vector=...)``, names like
@@ -67,22 +69,9 @@ matters for the empirical-search baseline and for counter-sampling error.
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields as dataclass_fields
-from pathlib import Path
-from typing import (
-    AbstractSet,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -219,12 +208,6 @@ class ExecutionResult:
 class ExecutionMemoInfo(NamedTuple):
     """Hit/miss accounting of a machine's noise-free execution memo.
 
-    ``merged_hits`` / ``merged_misses`` accumulate the accounting carried by
-    every :class:`ExecutionMemoSnapshot` merged into this machine — the
-    activity of worker machines whose memo deltas were absorbed (see
-    :meth:`Machine.merge_execution_memo`) — kept separate from the machine's
-    own ``hits`` / ``misses``.
-
     ``solver_iterations`` / ``solver_evaluations`` expose the cumulative
     fixed-point solver cost behind every miss (steps taken, and model
     evaluations — scalar probes or full-width kernel sweeps — performed),
@@ -236,8 +219,6 @@ class ExecutionMemoInfo(NamedTuple):
     misses: int
     size: int
     maxsize: int
-    merged_hits: int = 0
-    merged_misses: int = 0
     solver_iterations: int = 0
     solver_evaluations: int = 0
 
@@ -326,11 +307,13 @@ def _memo_schema() -> Tuple[str, ...]:
 class ExecutionMemoSnapshot:
     """Picklable snapshot of (part of) a machine's noise-free execution memo.
 
-    Produced by :meth:`Machine.export_execution_memo` and absorbed by
-    :meth:`Machine.merge_execution_memo`, so ``run_cells`` workers (or any
-    other process) can seed their machines from a parent's memo and hand
-    freshly simulated cells back as deltas.  Only deterministic, noise-free
-    cells ever live in the memo, so snapshots never carry noisy executions.
+    Produced by :meth:`Machine.export_execution_memo` (the whole memo) and
+    :meth:`Machine.drain_new_cells` (the cells simulated since the last
+    drain), and absorbed by :meth:`Machine.merge_execution_memo`.  It is
+    the record format of :class:`~repro.store.MemoStore`, through which
+    processes seed their machines and publish freshly simulated cells.
+    Only deterministic, noise-free cells ever live in the memo, so
+    snapshots never carry noisy executions.
 
     Attributes
     ----------
@@ -338,17 +321,12 @@ class ExecutionMemoSnapshot:
         Fingerprint schema the keys were built under (work-request fields
         plus cell layout); merge rejects snapshots with a different schema.
     cells:
-        ``(key, entry)`` pairs in the exporting memo's LRU order.
-    hits, misses:
-        The exporting machine's own memo accounting at export time; carried
-        so the merging side can attribute cross-process activity (see
-        :class:`ExecutionMemoInfo`).
+        ``(key, entry)`` pairs in the exporting memo's LRU order (journal
+        order for a drain).
     """
 
     schema: Tuple[str, ...]
     cells: Tuple[Tuple[tuple, _CellEntry], ...]
-    hits: int = 0
-    misses: int = 0
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -680,8 +658,10 @@ class Machine:
         used by :meth:`execute_batch` and :meth:`execute_grid`; ``0``
         disables memoization.  The memo is private to the machine instance
         (two machines built with different noise/power/CPU parameters never
-        share cached cells) unless snapshots are exchanged explicitly via
-        :meth:`export_execution_memo` / :meth:`merge_execution_memo`.
+        share cached cells) unless snapshots are exchanged explicitly, e.g.
+        through a :class:`~repro.store.MemoStore`.  The same capacity
+        bounds the journal of newly simulated cells
+        (:meth:`drain_new_cells`), which drops its oldest cell when full.
 
     The fixed point is resolved by the safeguarded Newton/secant solver of
     :mod:`repro.machine.fixedpoint`; its cost is tracked in
@@ -727,10 +707,11 @@ class Machine:
         self.fixed_point_tolerance = fixed_point_tolerance
         self.memo_size = memo_size
         self._memo: "OrderedDict[tuple, _CellEntry]" = OrderedDict()
+        #: Cells this machine simulated since the last drain, in simulation
+        #: order (see :meth:`drain_new_cells`).
+        self._journal: "OrderedDict[tuple, _CellEntry]" = OrderedDict()
         self._memo_hits = 0
         self._memo_misses = 0
-        self._merged_hits = 0
-        self._merged_misses = 0
         self._validated_placements: set = set()
         self._config_statics: Dict[Configuration, _ConfigStatic] = {}
         #: Number of :meth:`execute_batch` calls / cells served / cells that
@@ -1697,12 +1678,11 @@ class Machine:
         Cells already in the memo are returned directly; the remainder are
         simulated — through the vectorized kernel, or through the memoized
         scalar path when fewer than ``DEFAULT_SMALL_BATCH_CUTOFF`` cells are
-        cold —
-        and recorded into the memo.  Cold cells with identical memo keys
-        (duplicate configurations, or equal-valued works) are simulated
-        once and shared — the copies count as hits (they are served from
-        the just-recorded cell), so ``misses`` always equals the number of
-        cells actually simulated.  Returns ``(entries, hits, misses,
+        cold — and recorded into the memo and the journal of new cells.
+        Cold cells with identical memo keys (duplicate configurations, or
+        equal-valued works) are simulated once and shared — the copies
+        count as hits (they are served from the just-recorded cell), so
+        ``misses`` always equals the number of cells actually simulated.  Returns ``(entries, hits, misses,
         hit_flags)`` where ``hit_flags[i]`` marks cells served from the
         memo (``None`` when the memo was bypassed).
         """
@@ -1780,6 +1760,9 @@ class Machine:
                     self._memo[keys[i]] = entry
                     if len(self._memo) > self.memo_size:
                         self._memo.popitem(last=False)
+                    self._journal[keys[i]] = entry
+                    if len(self._journal) > self.memo_size:
+                        self._journal.popitem(last=False)
                 for i, first in duplicate_of.items():
                     entries[i] = entries[first]
                     hit_flags[i] = True
@@ -1807,57 +1790,42 @@ class Machine:
             misses=self._memo_misses,
             size=len(self._memo),
             maxsize=self.memo_size,
-            merged_hits=self._merged_hits,
-            merged_misses=self._merged_misses,
             solver_iterations=self.solver_iterations,
             solver_evaluations=self.solver_evaluations,
         )
 
-    def export_execution_memo(
-        self, since: Optional[Union[ExecutionMemoSnapshot, AbstractSet]] = None
-    ) -> ExecutionMemoSnapshot:
-        """Export the memo as a picklable :class:`ExecutionMemoSnapshot`.
-
-        Parameters
-        ----------
-        since:
-            When given, export only the *delta*: cells whose key is not in
-            ``since`` — typically the snapshot this machine was seeded from
-            — so a ``run_cells`` worker hands back exactly the cells it
-            simulated itself.  A bare set of memo keys is accepted too, so
-            long-lived callers (e.g. the adaptation server's persistence
-            loop) can track what they already exported as a growing key
-            set instead of rebuilding ever-larger snapshots.  The snapshot
-            always carries this machine's own hit/miss counters so the
-            merging side can attribute the exporter's memo activity.
-        """
-        if since is None:
-            exclude: AbstractSet = frozenset()
-        elif isinstance(since, ExecutionMemoSnapshot):
-            exclude = since.keys()
-        else:
-            exclude = since
-        cells = tuple(
-            (key, entry) for key, entry in self._memo.items() if key not in exclude
-        )
+    def export_execution_memo(self) -> ExecutionMemoSnapshot:
+        """Export the whole memo as a picklable :class:`ExecutionMemoSnapshot`."""
         return ExecutionMemoSnapshot(
-            schema=_memo_schema(),
-            cells=cells,
-            hits=self._memo_hits,
-            misses=self._memo_misses,
+            schema=_memo_schema(), cells=tuple(self._memo.items())
         )
+
+    def drain_new_cells(self) -> ExecutionMemoSnapshot:
+        """Hand over the journal of newly simulated cells and empty it.
+
+        The journal holds every cell this machine simulated into its memo
+        since the last drain, in simulation order, each key once — never
+        cells that arrived by :meth:`merge_execution_memo`, memo hits,
+        noisy cells or memo-bypassing calls.  It is bounded by
+        ``memo_size`` and drops its oldest cell when full, so a machine
+        that is never drained does not grow without limit.  Publishing a
+        drain is O(new cells): :meth:`~repro.store.MemoStore.absorb` is
+        its one consumer.
+        """
+        cells = tuple(self._journal.items())
+        self._journal.clear()
+        return ExecutionMemoSnapshot(schema=_memo_schema(), cells=cells)
 
     def merge_execution_memo(self, snapshot: ExecutionMemoSnapshot) -> int:
         """Absorb a snapshot's cells; returns how many were actually new.
 
         Cells already present locally are kept (never overwritten); merged
-        cells respect the memo's LRU capacity.  The snapshot's hit/miss
-        counters accumulate into the machine's ``merged_hits`` /
-        ``merged_misses`` accounting (see :class:`ExecutionMemoInfo`).
-        Snapshots whose fingerprint schema differs from this code revision's
-        — e.g. pickled before a :class:`~repro.machine.work.WorkRequest`
-        field was added — are rejected, because their keys would silently
-        alias cells of incompatible characterizations.
+        cells respect the memo's LRU capacity and never enter the journal
+        of new cells.  Snapshots whose fingerprint schema differs from this
+        code revision's — e.g. pickled before a
+        :class:`~repro.machine.work.WorkRequest` field was added — are
+        rejected, because their keys would silently alias cells of
+        incompatible characterizations.
 
         Merging is the caller's assertion that the exporting machine was
         built with equivalent model parameters; machines that never
@@ -1878,88 +1846,14 @@ class Machine:
                     added += 1
                     if len(self._memo) > self.memo_size:
                         self._memo.popitem(last=False)
-        self._merged_hits += snapshot.hits
-        self._merged_misses += snapshot.misses
         return added
 
-    def save_execution_memo(
-        self,
-        path: Union[str, Path],
-        since: Optional[ExecutionMemoSnapshot] = None,
-    ) -> int:
-        """Persist the memo to ``path`` as a pickled snapshot; returns cells.
-
-        The file holds exactly one :class:`ExecutionMemoSnapshot` (schema
-        fingerprint included), so sweeps survive process restarts:
-        :meth:`load_execution_memo` on a fresh machine restores every
-        deterministic cell without re-simulating.  ``since`` restricts the
-        file to a delta, as in :meth:`export_execution_memo`.
-
-        The write is atomic: the snapshot is pickled into a temporary file
-        in the same directory and published with :func:`os.replace`, so a
-        crash (or a concurrent reader) never observes a truncated file —
-        ``path`` either holds the previous complete snapshot or the new
-        one.
-        """
-        snapshot = self.export_execution_memo(since=since)
-        path = Path(path)
-        directory = path.parent if str(path.parent) else Path(".")
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(directory), prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as stream:
-                pickle.dump(snapshot, stream, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return len(snapshot)
-
-    def load_execution_memo(self, path: Union[str, Path]) -> int:
-        """Merge a snapshot previously saved to ``path``; returns new cells.
-
-        Delegates to :meth:`merge_execution_memo`, so a snapshot written by
-        a different code revision — one whose work-request fields, cell
-        layout or memo-key schema differ — is rejected with
-        :class:`ValueError` instead of silently aliasing cells.  A file
-        that does not hold a snapshot at all — including a truncated or
-        corrupted pickle — also raises :class:`ValueError` naming the
-        path, rather than leaking raw :class:`EOFError` /
-        :class:`pickle.UnpicklingError` internals to callers.
-        """
-        try:
-            with open(path, "rb") as stream:
-                snapshot = pickle.load(stream)
-        except (
-            pickle.UnpicklingError,
-            EOFError,
-            AttributeError,
-            ImportError,
-            IndexError,
-            ValueError,
-        ) as exc:
-            raise ValueError(
-                f"{str(path)!r} does not contain a readable execution-memo "
-                f"snapshot (file is truncated or corrupt: {exc})"
-            ) from exc
-        if not isinstance(snapshot, ExecutionMemoSnapshot):
-            raise ValueError(
-                f"{str(path)!r} does not contain an execution-memo snapshot "
-                f"(found {type(snapshot).__name__})"
-            )
-        return self.merge_execution_memo(snapshot)
-
     def clear_execution_memo(self) -> None:
-        """Drop every memoized cell and reset the hit/miss counters."""
+        """Drop every memoized and journaled cell and reset the counters."""
         self._memo.clear()
+        self._journal.clear()
         self._memo_hits = 0
         self._memo_misses = 0
-        self._merged_hits = 0
-        self._merged_misses = 0
 
     def idle_power_watts(self) -> float:
         """Wall power of the idle platform."""

@@ -155,8 +155,9 @@ class GridHandler(DecisionHandler):
         memo across server restarts.  The handler seeds its machine from
         the store at construction — a restarted adaptation server answers
         previously seen fingerprints from disk without re-simulating —
-        and publishes each batch's freshly simulated cells as an atomic
-        delta segment right after scoring it.
+        and publishes every cell the machine has simulated since its last
+        publish (including cells simulated before the store was attached)
+        as an atomic delta segment right after each batch.
     """
 
     def __init__(
@@ -183,28 +184,8 @@ class GridHandler(DecisionHandler):
         self.objective = objective
         self._metric, self._minimize = _GRID_OBJECTIVES[objective]
         self.memo_store = memo_store
-        self._persisted_keys: Optional[set] = None
         if memo_store is not None:
             memo_store.seed(self.machine)
-            self._persisted_keys = set(self.machine.export_execution_memo().keys())
-
-    def _persist_new_cells(self) -> None:
-        """Publish cells simulated since the last persisted batch.
-
-        One scheduler dispatches batches strictly sequentially, so this
-        runs unraced.  Already-published cells are tracked as a growing
-        key set extended in place with each delta's keys, so a persist
-        costs one O(memo) dict scan plus O(new cells) copying and IO —
-        no snapshot-tuple rebuild growing with server lifetime.
-        """
-        if self.memo_store is None:
-            return
-        assert self._persisted_keys is not None
-        delta = self.machine.export_execution_memo(since=self._persisted_keys)
-        if len(delta) == 0:
-            return
-        self.memo_store.append(delta)
-        self._persisted_keys.update(delta.keys())
 
     def handle_batch(
         self, requests: Sequence[GridProbeRequest]
@@ -212,7 +193,8 @@ class GridHandler(DecisionHandler):
         grid = self.machine.execute_grid(
             [request.work for request in requests], self.configurations
         )
-        self._persist_new_cells()
+        if self.memo_store is not None:
+            self.memo_store.absorb(self.machine)
         values = grid.metric(self._metric)
         best = grid.best(self._metric, minimize=self._minimize)
         names = grid.names()
@@ -243,8 +225,6 @@ class GridHandler(DecisionHandler):
                 "misses": info.misses,
                 "size": info.size,
                 "maxsize": info.maxsize,
-                "merged_hits": info.merged_hits,
-                "merged_misses": info.merged_misses,
                 "hit_rate": info.hits / total if total else 0.0,
                 "solver_iterations": info.solver_iterations,
                 "solver_evaluations": info.solver_evaluations,
@@ -336,13 +316,12 @@ class FleetHandler(DecisionHandler):
 
     def cache_info(self) -> Dict[str, Dict[str, float]]:
         """Execution-memo counters summed over the fleet's nodes."""
-        totals = {"hits": 0.0, "misses": 0.0, "size": 0.0, "merged_hits": 0.0}
+        totals = {"hits": 0.0, "misses": 0.0, "size": 0.0}
         for node in self.fleet:
             info = node.machine.execution_memo_info()
             totals["hits"] += info.hits
             totals["misses"] += info.misses
             totals["size"] += info.size
-            totals["merged_hits"] += info.merged_hits
         served = totals["hits"] + totals["misses"]
         totals["hit_rate"] = totals["hits"] / served if served else 0.0
         totals["nodes"] = float(len(self.fleet))

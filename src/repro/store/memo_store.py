@@ -1,12 +1,15 @@
 """A durable, multi-process execution-memo store: segment log + compaction.
 
-:class:`MemoStore` grows the single-file memo persistence
-(:meth:`~repro.machine.Machine.save_execution_memo`) into a *shared* store
-a fleet of processes can warm-start from across runs and hosts.  It is a
-thin durability layer over the existing schema-fingerprinted
-:class:`~repro.machine.machine.ExecutionMemoSnapshot` delta ``export`` /
-``merge`` machinery — the store never interprets cells, it only replays
-snapshots in publication order.
+:class:`MemoStore` is the one channel through which execution-memo cells
+are shared and persisted: across the processes of a sweep, across server
+and fleet restarts, and across hosts.  It is a thin durability layer over
+the schema-fingerprinted
+:class:`~repro.machine.machine.ExecutionMemoSnapshot` — the store never
+interprets cells, it only replays snapshots in publication order.
+:meth:`MemoStore.seed` merges them into a machine, and
+:meth:`MemoStore.absorb` publishes the cells a machine simulated since its
+last drain (:meth:`~repro.machine.Machine.drain_new_cells`) — O(new
+cells), whatever the size of the memo.
 
 Directory layout (all files framed by :mod:`repro.store.segments`)::
 
@@ -205,13 +208,6 @@ class MemoStore:
         immediately and no caller ever needs to invoke ``compact()``.
         Background failures are logged and counted
         (``compaction_errors``), never raised into the writer.
-
-    Notes
-    -----
-    Appended snapshots are normalized to carry **cells only** (their
-    hit/miss counters are zeroed): the counters describe one process's
-    past activity, and replaying them at every future :meth:`seed` would
-    inflate the merged accounting of every restarted reader forever.
     """
 
     def __init__(
@@ -261,18 +257,21 @@ class MemoStore:
     # ------------------------------------------------------------------
     # writing: absorb / append
     # ------------------------------------------------------------------
-    def absorb(
-        self,
-        machine: Machine,
-        since: Optional[ExecutionMemoSnapshot] = None,
-    ) -> int:
-        """Append the machine's memo (or its delta past ``since``).
+    def absorb(self, machine: Machine) -> int:
+        """Publish the cells ``machine`` simulated since its last drain.
 
-        ``since`` is typically the snapshot the machine was seeded from,
-        so the published segment holds exactly the cells this process
-        computed itself.  An empty delta publishes nothing and returns 0.
+        Drains the machine's journal of new cells
+        (:meth:`~repro.machine.Machine.drain_new_cells`) and appends it as
+        one segment; cells the machine was seeded with are never in the
+        journal, so they are never republished.  An empty journal
+        publishes nothing and returns 0.  If the append raises, the
+        drained cells stay in the machine's memo but are not offered to a
+        later ``absorb``: a restarted reader simulates them again.
         """
-        return self.append(machine.export_execution_memo(since=since))
+        snapshot = machine.drain_new_cells()
+        if len(snapshot) == 0:
+            return 0
+        return self.append(snapshot)
 
     def append(self, snapshot: ExecutionMemoSnapshot) -> int:
         """Publish one snapshot as a new segment; returns its cell count.
@@ -291,10 +290,6 @@ class MemoStore:
             )
         if len(snapshot) == 0:
             return 0
-        if snapshot.hits or snapshot.misses:
-            snapshot = ExecutionMemoSnapshot(
-                schema=snapshot.schema, cells=snapshot.cells
-            )
         record = pack_record(
             pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
         )

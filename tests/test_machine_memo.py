@@ -6,19 +6,18 @@ training collection never simulate the same cell twice.  These tests pin its
 accounting, its LRU bound, its noise-gating, and its isolation between
 machines built with different model parameters — plus the satellite
 memoizations of the scalar path (``configuration_by_name`` and placement
-validation) and the cross-process snapshot protocol
+validation), the snapshot protocol
 (:meth:`~repro.machine.Machine.export_execution_memo` /
-:meth:`~repro.machine.Machine.merge_execution_memo`): schema-guarded
-export/merge, delta export, noisy executions never exported, and merged
-hit/miss accounting flowing back across a real process pool.
+:meth:`~repro.machine.Machine.merge_execution_memo`: schema-guarded
+export/merge, noisy executions never exported) and the journal of newly
+simulated cells that :meth:`~repro.machine.Machine.drain_new_cells` hands
+to the memo store.
 """
 
 from __future__ import annotations
 
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from typing import Tuple
 
 import pytest
 
@@ -26,7 +25,6 @@ from repro.core import build_oracle_table, collect_training_dataset, measure_ora
 from repro.machine import (
     CONFIG_4,
     CPUModel,
-    ExecutionMemoSnapshot,
     Machine,
     PowerModel,
     PowerParameters,
@@ -179,23 +177,6 @@ class TestMemoIsolation:
         assert batch.memo_misses == 1  # not served by machine a's memo
 
 
-def _snapshot_pool_worker(
-    snapshot: ExecutionMemoSnapshot, warm: bool
-) -> Tuple[ExecutionMemoSnapshot, int, int]:
-    """Pool worker: seed a fresh machine, sweep, return (delta, hits, misses).
-
-    Module-level so it pickles under any multiprocessing start method.
-    """
-    machine = Machine(noise_sigma=0.0)
-    if warm:
-        machine.merge_execution_memo(snapshot)
-    work = WorkRequest(instructions=2.5e8, working_set_mb=6.0)
-    machine.execute_batch(work, standard_configurations(machine.topology))
-    delta = machine.export_execution_memo(since=snapshot if warm else None)
-    info = machine.execution_memo_info()
-    return delta, info.hits, info.misses
-
-
 class TestMemoSnapshot:
     def test_export_merge_roundtrip_serves_hits(self, fresh_machine, phase_work):
         configs = standard_configurations(fresh_machine.topology)
@@ -213,32 +194,6 @@ class TestMemoSnapshot:
         other = Machine(noise_sigma=0.0)
         assert other.merge_execution_memo(snapshot) == 1
         assert other.execute_batch(phase_work, [CONFIG_4]).memo_hits == 1
-
-    def test_delta_export_excludes_seeded_cells(self, fresh_machine, phase_work):
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
-        seed = fresh_machine.export_execution_memo()
-        worker = Machine(noise_sigma=0.0)
-        worker.merge_execution_memo(seed)
-        configs = standard_configurations(worker.topology)
-        worker.execute_batch(phase_work, configs)  # one hit, the rest cold
-        delta = worker.export_execution_memo(since=seed)
-        assert len(delta) == len(configs) - 1
-        assert seed.keys().isdisjoint(delta.keys())
-        # The delta carries the worker's own accounting.
-        assert (delta.hits, delta.misses) == (1, len(configs) - 1)
-
-    def test_delta_export_accepts_a_bare_key_set(self, fresh_machine, phase_work):
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
-        seed = fresh_machine.export_execution_memo()
-        worker = Machine(noise_sigma=0.0)
-        worker.merge_execution_memo(seed)
-        configs = standard_configurations(worker.topology)
-        worker.execute_batch(phase_work, configs)
-        # Long-lived callers track what they already exported as a growing
-        # key set; the delta must match the snapshot-based one exactly.
-        via_set = worker.export_execution_memo(since=set(seed.keys()))
-        via_snapshot = worker.export_execution_memo(since=seed)
-        assert via_set.cells == via_snapshot.cells
 
     def test_schema_mismatch_rejects_stale_snapshots(self, fresh_machine, phase_work):
         fresh_machine.execute_batch(phase_work, [CONFIG_4])
@@ -266,55 +221,12 @@ class TestMemoSnapshot:
         already.execute_batch(phase_work, configs)
         assert already.merge_execution_memo(snapshot) == 0
 
-    def test_merged_accounting_in_info_and_clear(self, fresh_machine, phase_work):
-        donor = Machine(noise_sigma=0.0)
-        donor.execute_batch(phase_work, [CONFIG_4])
-        donor.execute_batch(phase_work, [CONFIG_4])
-        fresh_machine.merge_execution_memo(donor.export_execution_memo())
-        info = fresh_machine.execution_memo_info()
-        assert (info.merged_hits, info.merged_misses) == (1, 1)
-        assert (info.hits, info.misses) == (0, 0)  # own activity untouched
-        fresh_machine.clear_execution_memo()
-        info = fresh_machine.execution_memo_info()
-        assert (info.merged_hits, info.merged_misses) == (0, 0)
-
     def test_memo_disabled_machine_merges_no_cells(self, fresh_machine, phase_work):
         fresh_machine.execute_batch(phase_work, [CONFIG_4])
         snapshot = fresh_machine.export_execution_memo()
         disabled = Machine(noise_sigma=0.0, memo_size=0)
         assert disabled.merge_execution_memo(snapshot) == 0
         assert disabled.execution_memo_info().size == 0
-
-    def test_cross_process_hit_accounting(self, phase_work):
-        """Workers seed from a parent snapshot and return attributable deltas."""
-        parent = Machine(noise_sigma=0.0)
-        configs = standard_configurations(parent.topology)
-        parent.execute_batch(phase_work, configs[:2])  # partial warm state
-        seed = parent.export_execution_memo()
-        work = WorkRequest(instructions=2.5e8, working_set_mb=6.0)
-        assert work.fingerprint() == phase_work.fingerprint()
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            cold_delta, cold_hits, cold_misses = pool.submit(
-                _snapshot_pool_worker, seed, True
-            ).result()
-            assert (cold_hits, cold_misses) == (2, len(configs) - 2)
-            assert len(cold_delta) == len(configs) - 2
-            parent.merge_execution_memo(cold_delta)
-            info = parent.execution_memo_info()
-            assert info.size == len(configs)
-            assert (info.merged_hits, info.merged_misses) == (2, len(configs) - 2)
-            # A second worker seeded with the merged state is all hits and
-            # hands back an empty delta.
-            warm_seed = parent.export_execution_memo()
-            warm_delta, warm_hits, warm_misses = pool.submit(
-                _snapshot_pool_worker, warm_seed, True
-            ).result()
-            assert (warm_hits, warm_misses) == (len(configs), 0)
-            assert len(warm_delta) == 0
-            parent.merge_execution_memo(warm_delta)
-        info = parent.execution_memo_info()
-        assert info.merged_hits == 2 + len(configs)
-
 
 class TestPerCoreMemoKeys:
     """The memo key space under heterogeneous per-core P-states."""
@@ -377,119 +289,70 @@ class TestPerCoreMemoKeys:
         assert other.execute_batch(phase_work, [ladder]).memo_hits == 1
 
 
-class TestMemoPersistence:
-    """Disk round-trips of the execution memo (save/load_execution_memo)."""
+class TestNewCellJournal:
+    """The journal of newly simulated cells behind ``drain_new_cells``.
 
-    def test_save_load_roundtrip_restores_every_cell(
-        self, fresh_machine, phase_work, tmp_path
-    ):
-        configs = standard_configurations(fresh_machine.topology) + [
-            configuration_by_name(
-                "4@2.4/2.4/1.6/1.6GHz", fresh_machine.pstate_table
-            )
-        ]
-        fresh_machine.execute_batch(phase_work, configs)
-        path = tmp_path / "memo.pkl"
-        assert fresh_machine.save_execution_memo(path) == len(configs)
-        restored = Machine(noise_sigma=0.0)
-        assert restored.load_execution_memo(path) == len(configs)
-        batch = restored.execute_batch(phase_work, configs)
-        assert (batch.memo_hits, batch.memo_misses) == (len(configs), 0)
+    The memo store publishes exactly what a drain returns, so the journal
+    must hold every cell the machine simulated itself — once, in
+    simulation order — and nothing it merely merged or served.
+    """
 
-    def test_save_since_writes_only_the_delta(
-        self, fresh_machine, phase_work, tmp_path
-    ):
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
-        seed = fresh_machine.export_execution_memo()
-        configs = standard_configurations(fresh_machine.topology)
-        fresh_machine.execute_batch(phase_work, configs)
-        path = tmp_path / "delta.pkl"
-        assert fresh_machine.save_execution_memo(path, since=seed) == len(configs) - 1
-        restored = Machine(noise_sigma=0.0)
-        assert restored.load_execution_memo(path) == len(configs) - 1
-
-    def test_load_rejects_stale_schema_files(
-        self, fresh_machine, phase_work, tmp_path
-    ):
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
-        snapshot = fresh_machine.export_execution_memo()
-        stale = replace(snapshot, schema=("memo-v1",) + snapshot.schema[1:])
-        path = tmp_path / "stale.pkl"
-        with open(path, "wb") as stream:
-            pickle.dump(stale, stream)
-        with pytest.raises(ValueError, match="stale execution-memo snapshot"):
-            Machine(noise_sigma=0.0).load_execution_memo(path)
-
-    def test_load_rejects_files_that_are_not_snapshots(self, tmp_path):
-        path = tmp_path / "junk.pkl"
-        with open(path, "wb") as stream:
-            pickle.dump({"not": "a snapshot"}, stream)
-        with pytest.raises(ValueError, match="does not contain"):
-            Machine(noise_sigma=0.0).load_execution_memo(path)
-
-    def test_load_missing_file_raises_oserror(self, tmp_path):
-        with pytest.raises(OSError):
-            Machine(noise_sigma=0.0).load_execution_memo(tmp_path / "absent.pkl")
-
-    def test_load_rejects_truncated_files_with_valueerror(
-        self, fresh_machine, phase_work, tmp_path
-    ):
-        fresh_machine.execute_batch(
-            phase_work, standard_configurations(fresh_machine.topology)
+    def test_seeding_merging_and_hits_do_not_journal(self, phase_work):
+        donor = Machine(noise_sigma=0.0)
+        configs = standard_configurations(donor.topology)
+        donor.execute_batch(phase_work, configs)
+        seeded = Machine(noise_sigma=0.0)
+        assert seeded.merge_execution_memo(donor.export_execution_memo()) == len(
+            configs
         )
-        path = tmp_path / "truncated.pkl"
-        fresh_machine.save_execution_memo(path)
-        # Chop the file mid-pickle, as a crash before the atomic publish
-        # existed would have done.
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(ValueError, match="truncated or corrupt") as excinfo:
-            Machine(noise_sigma=0.0).load_execution_memo(path)
-        assert str(path) in str(excinfo.value)
+        assert len(seeded.drain_new_cells()) == 0
+        batch = seeded.execute_batch(phase_work, configs)  # all hits
+        assert batch.memo_hits == len(configs)
+        assert len(seeded.drain_new_cells()) == 0
+        fresh = configuration_by_name("4@1.6GHz", seeded.pstate_table)
+        seeded.execute_batch(phase_work, [fresh])
+        (cell,) = seeded.drain_new_cells().cells
+        assert cell == seeded.export_execution_memo().cells[-1]
 
-    def test_load_rejects_garbage_bytes_with_valueerror(self, tmp_path):
-        path = tmp_path / "garbage.pkl"
-        path.write_bytes(b"\x00\x01not a pickle at all\xff\xfe")
-        with pytest.raises(ValueError, match="truncated or corrupt") as excinfo:
-            Machine(noise_sigma=0.0).load_execution_memo(path)
-        assert str(path) in str(excinfo.value)
+    def test_duplicate_keys_within_one_call_journal_once(
+        self, fresh_machine, phase_work
+    ):
+        clone = WorkRequest(instructions=2.5e8, working_set_mb=6.0)
+        grid = fresh_machine.execute_grid([phase_work, clone], [CONFIG_4, CONFIG_4])
+        assert (grid.memo_hits, grid.memo_misses) == (3, 1)
+        assert len(fresh_machine.drain_new_cells()) == 1
 
-    def test_save_is_atomic_on_serialization_failure(
-        self, fresh_machine, phase_work, tmp_path, monkeypatch
+    def test_noisy_bypassed_and_disabled_calls_journal_nothing(self, phase_work):
+        configs = standard_configurations(Machine(noise_sigma=0.0).topology)
+        noisy = Machine(noise_sigma=0.01, seed=5)
+        noisy.execute_batch(phase_work, configs, apply_noise=True)
+        noisy.execute(phase_work, CONFIG_4, apply_noise=True)
+        assert len(noisy.drain_new_cells()) == 0
+        bypassed = Machine(noise_sigma=0.0)
+        bypassed.execute_batch(phase_work, configs, use_memo=False)
+        assert len(bypassed.drain_new_cells()) == 0
+        disabled = Machine(noise_sigma=0.0, memo_size=0)
+        disabled.execute_batch(phase_work, configs)
+        assert len(disabled.drain_new_cells()) == 0
+
+    def test_journal_keeps_the_newest_memo_size_cells(self, phase_work):
+        configs = standard_configurations(Machine(noise_sigma=0.0).topology)
+        roomy = Machine(noise_sigma=0.0)
+        roomy.execute_batch(phase_work, configs)
+        small = Machine(noise_sigma=0.0, memo_size=3)
+        small.execute_batch(phase_work, configs)  # 5 new cells, 3 slots
+        drained = small.drain_new_cells()
+        assert drained.cells == roomy.drain_new_cells().cells[-3:]
+
+    def test_clear_empties_the_journal_and_a_drain_empties_it(
+        self, fresh_machine, phase_work
     ):
         fresh_machine.execute_batch(phase_work, [CONFIG_4])
-        path = tmp_path / "memo.pkl"
-        fresh_machine.save_execution_memo(path)
-        good = path.read_bytes()
-        # A crash mid-write must leave the previous complete file in place
-        # and no temporary droppings next to it.
-        def boom(*args, **kwargs):
-            raise RuntimeError("disk full")
-
-        monkeypatch.setattr(pickle, "dump", boom)
-        with pytest.raises(RuntimeError, match="disk full"):
-            fresh_machine.save_execution_memo(path)
-        assert path.read_bytes() == good
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["memo.pkl"]
-
-    def test_save_publishes_with_replace_not_in_place_write(
-        self, fresh_machine, phase_work, tmp_path
-    ):
+        fresh_machine.clear_execution_memo()
+        assert len(fresh_machine.drain_new_cells()) == 0
         fresh_machine.execute_batch(phase_work, [CONFIG_4])
-        path = tmp_path / "memo.pkl"
-        fresh_machine.save_execution_memo(path)
-        first_inode = path.stat().st_ino
-        fresh_machine.execute_batch(
-            phase_work, standard_configurations(fresh_machine.topology)
-        )
-        fresh_machine.save_execution_memo(path)
-        # os.replace swaps in a fresh file rather than truncating in place.
-        assert path.stat().st_ino != first_inode
-        restored = Machine(noise_sigma=0.0)
-        assert restored.load_execution_memo(path) == len(
-            standard_configurations(fresh_machine.topology)
-        )
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["memo.pkl"]
+        assert len(fresh_machine.drain_new_cells()) == 1
+        assert len(fresh_machine.drain_new_cells()) == 0
 
 
 class TestWorkFingerprint:

@@ -7,8 +7,10 @@ merged), concurrent writer exclusion through the advisory lock (no lost or
 colliding segments), ``seed``/``absorb`` bit-identity with the in-process
 ``export``/``merge`` round trip, compaction folding base + segments into a
 new base that replays identically, and the consumer wiring —
-``run_cells(..., memo_store=...)`` and ``GridHandler(memo_store=...)`` —
-where a restarted process must re-simulate zero previously stored cells.
+``run_cells(..., memo_store=...)``, ``GridHandler(memo_store=...)`` and
+``Node.attach_store`` — where a restarted process must re-simulate zero
+previously stored cells and every publish costs O(new cells): consumers
+drain the machine's journal through ``absorb`` and never scan the memo.
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import RunCell, run_cells
+from repro.cluster import Node
+from repro.core import StaticPolicy
+from repro.experiments import POLICY_BUILDERS, RunCell, run_cells
 from repro.machine import (
+    CONFIG_2B,
     ExecutionMemoSnapshot,
     Machine,
     WorkRequest,
@@ -82,12 +87,17 @@ class TestSeedAbsorbRoundTrip:
         )
 
     def test_absorb_since_appends_only_own_cells(self, store, machine):
+        """A seeded machine publishes only the cells it simulated itself."""
         configs = standard_configurations(machine.topology)
         machine.execute_batch(_work(1), configs)
-        store.absorb(machine)
-        seeded = machine.export_execution_memo()
-        machine.execute_batch(_work(2), configs)
-        assert store.absorb(machine, since=seeded) == len(configs)
+        assert store.absorb(machine) == len(configs)
+        assert store.absorb(machine) == 0  # already drained
+        seeded = Machine(noise_sigma=0.0)
+        assert store.seed(seeded) == len(configs)
+        seeded.execute_batch(_work(1), configs)  # all hits on seeded cells
+        seeded.execute_batch(_work(2), configs)
+        assert store.absorb(seeded) == len(configs)
+        assert store.info().cells_appended == 2 * len(configs)
         # Replaying base-less segments in order restores both works' cells.
         fresh = Machine(noise_sigma=0.0)
         assert MemoStore(store.directory).seed(fresh) == 2 * len(configs)
@@ -95,19 +105,6 @@ class TestSeedAbsorbRoundTrip:
     def test_empty_delta_publishes_no_segment(self, store, machine):
         assert store.absorb(machine) == 0
         assert store.info().segment_files == 0
-
-    def test_appended_snapshots_drop_activity_counters(self, store, machine):
-        configs = standard_configurations(machine.topology)
-        machine.execute_batch(_work(), configs)
-        machine.execute_batch(_work(), configs)  # all hits: counters non-zero
-        assert machine.execution_memo_info().hits > 0
-        store.absorb(machine)
-        restarted = Machine(noise_sigma=0.0)
-        MemoStore(store.directory).seed(restarted)
-        info = restarted.execution_memo_info()
-        # One process's past activity must not inflate every future
-        # reader's merged accounting.
-        assert (info.merged_hits, info.merged_misses) == (0, 0)
 
     def test_append_rejects_stale_snapshots(self, store):
         snapshot = _snapshot_of([_work()])
@@ -365,17 +362,16 @@ class TestConsumerWiring:
     def test_run_cells_restart_resimulates_zero_cells(self, store):
         first = run_cells(self.CELLS, memo_store=store)
         assert store.info().cells_appended > 0
-        host = Machine(noise_sigma=0.0)
-        second = run_cells(
-            self.CELLS, memo_store=MemoStore(store.directory), memo_machine=host
-        )
-        info = host.execution_memo_info()
-        assert info.merged_misses == 0  # every calibration cell came from disk
-        assert info.merged_hits > 0
+        assert store.info().segment_files == 1
+        restarted = MemoStore(store.directory)
+        second = run_cells(self.CELLS, memo_store=restarted)
+        # Every calibration cell came from disk: nothing was re-simulated,
+        # so nothing new was published.
+        assert restarted.info().cells_appended == 0
+        assert restarted.segments_replayed == len(self.CELLS)
         for a, b in zip(first, second):
             assert a.time_seconds == b.time_seconds
             assert a.energy_joules == b.energy_joules
-        # Nothing new was computed, so nothing new was published.
         assert MemoStore(store.directory).info().segment_files == 1
 
     def test_run_cells_without_host_builds_a_default_one(self, store):
@@ -383,29 +379,37 @@ class TestConsumerWiring:
         assert store.info().cells_appended > 0
 
     def test_persist_error_never_masks_the_sweep_failure(
-        self, store, monkeypatch, caplog
+        self, store, monkeypatch
     ):
-        from repro.experiments import common as common_mod
+        class _ExplodingPolicy(StaticPolicy):
+            def before_phase(self, region, timestep):
+                raise RuntimeError("sweep exploded")
 
-        def failing_sweep(*args, **kwargs):
-            raise RuntimeError("sweep exploded")
+        monkeypatch.setitem(
+            POLICY_BUILDERS, "explode", lambda bundle: _ExplodingPolicy(CONFIG_2B)
+        )
+        exploding = RunCell(workload="IS", policy="explode", seed=3, max_timesteps=3)
 
-        def failing_absorb(machine, since=None):
+        # Cells that succeeded before the failure have already published.
+        with pytest.raises(RuntimeError, match="sweep exploded"):
+            run_cells([self.CELLS[1], exploding], memo_store=store)
+        published = store.info().cells_appended
+        assert published > 0
+        assert MemoStore(store.directory).seed(Machine(noise_sigma=0.0)) == published
+
+        # A failing cell never reaches the store, so a broken store cannot
+        # replace the sweep failure propagating to the caller.
+        def failing_absorb(machine):
             raise OSError("disk full")
 
-        monkeypatch.setattr(common_mod, "_run_cells_against_host", failing_sweep)
         monkeypatch.setattr(store, "absorb", failing_absorb)
-        with caplog.at_level(logging.ERROR, logger="repro.experiments.common"):
-            with pytest.raises(RuntimeError, match="sweep exploded"):
-                run_cells(self.CELLS[:1], memo_store=store)
-        # The store write failure is logged, not raised in place of the
-        # actual sweep failure.
-        assert any("persist" in record.message for record in caplog.records)
+        with pytest.raises(RuntimeError, match="sweep exploded"):
+            run_cells([exploding], memo_store=store)
 
     def test_successful_sweep_still_raises_on_persist_failure(
         self, store, monkeypatch
     ):
-        def failing_absorb(machine, since=None):
+        def failing_absorb(machine):
             raise OSError("disk full")
 
         monkeypatch.setattr(store, "absorb", failing_absorb)
@@ -451,6 +455,82 @@ class TestConsumerWiring:
         # A repeated fingerprint is all memo hits: nothing new to publish.
         asyncio.run(serve(handler, [r1]))
         assert store.info().cells_appended == appended_once
+
+
+def _raise_on_call(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was called on the publish path")
+
+    return fail
+
+
+class TestPublishPath:
+    """Consumers publish through ``absorb`` in O(new cells), and publish
+    every cell their machine simulated, even before the store was attached."""
+
+    def test_grid_handler_publishes_cells_simulated_before_attach(self, store):
+        machine = Machine(noise_sigma=0.0)
+        configs = machine.default_configurations()
+        machine.execute_grid([_work(1)], configs)
+        handler = GridHandler(machine, configurations=configs, memo_store=store)
+        handler.handle_batch([GridProbeRequest(client_id="a", phase="p", work=_work(2))])
+        assert store.info().cells_appended == 2 * len(configs)
+        fresh = Machine(noise_sigma=0.0)
+        assert MemoStore(store.directory).seed(fresh) == 2 * len(configs)
+
+    def test_node_publishes_cells_simulated_before_attach(self, store):
+        machine = Machine(noise_sigma=0.0)
+        node = Node("n0", machine)
+        node.sweep([_work(1)])
+        node.attach_store(store)
+        node.sweep([_work(2)])
+        cells = 2 * len(node.configurations)
+        assert store.info().cells_appended == cells
+        assert MemoStore(store.directory).seed(Machine(noise_sigma=0.0)) == cells
+
+    def test_consumers_never_export_the_whole_memo(self, store, monkeypatch):
+        handler = GridHandler(memo_store=store)
+        node = Node("n0", memo_store=MemoStore(store.directory / "node"))
+        for machine in (handler.machine, node.machine):
+            monkeypatch.setattr(
+                machine, "export_execution_memo", _raise_on_call("export")
+            )
+        request = GridProbeRequest(client_id="a", phase="p", work=_work(1))
+        handler.handle_batch([request])
+        handler.handle_batch(
+            [request, GridProbeRequest(client_id="b", phase="q", work=_work(2))]
+        )
+        node.sweep([_work(1)])
+        node.sweep([_work(1), _work(2)])
+        assert store.info().cells_appended == 2 * len(handler.configurations)
+        assert node.memo_store.info().cells_appended == 2 * len(node.configurations)
+
+    def test_all_hit_batches_never_append(self, store, monkeypatch):
+        handler = GridHandler(memo_store=store)
+        node = Node("n0", memo_store=MemoStore(store.directory / "node"))
+        request = GridProbeRequest(client_id="a", phase="p", work=_work(1))
+        handler.handle_batch([request])
+        node.sweep([_work(1)])
+        for consumer_store in (store, node.memo_store):
+            monkeypatch.setattr(consumer_store, "append", _raise_on_call("append"))
+        handler.handle_batch([request, request])
+        node.sweep([_work(1), _work(1)])  # a new sweep key, all memo hits
+
+    def test_unseeded_absorb_appends_the_exported_memo_in_order(
+        self, store, monkeypatch
+    ):
+        machine = _warm_machine([_work(1), _work(2), _work(3)])
+        expected = machine.export_execution_memo().cells
+        appended = []
+        original = store.append
+
+        def capture(snapshot):
+            appended.append(snapshot)
+            return original(snapshot)
+
+        monkeypatch.setattr(store, "append", capture)
+        assert store.absorb(machine) == len(expected)
+        assert [snapshot.cells for snapshot in appended] == [expected]
 
 
 class TestCompactionPolicy:

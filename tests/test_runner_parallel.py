@@ -67,49 +67,33 @@ class TestGoldenSerialVsParallel:
             # identical floating-point aggregates.
             assert _aggregates(s) == _aggregates(p)
 
-    def test_shared_memo_keeps_serial_and_parallel_bit_identical(self):
-        """A memo host seeds every cell without perturbing any report.
+    def test_shared_memo_keeps_serial_and_parallel_bit_identical(self, tmp_path):
+        """A memo store seeds every cell without perturbing any report.
 
         Memoized cells are deterministic and noise-free, so sharing them
         across the pool is a pure performance feature: reports must equal
-        the no-memo golden run exactly, serially and in parallel.  What the
-        host memo actually carries are the suite-calibration probe cells
-        every cell execution otherwise re-simulates from scratch.
+        the no-store golden run exactly, serially and in parallel.  What the
+        store actually carries are the suite-calibration probe cells every
+        cell execution otherwise re-simulates from scratch.
         """
-        from repro.machine import Machine
+        from repro.store import MemoStore
 
-        host = Machine(noise_sigma=0.0)
         golden = run_cells(CELLS)
 
-        # Cold host: the first sweep's workers simulate the calibration
-        # probes themselves and hand them back as deltas.
-        serial = run_cells(CELLS, memo_machine=host)
-        info = host.execution_memo_info()
-        assert info.size > 0  # calibration probe cells flowed back
-        assert info.merged_misses > 0
-        seeded_cells = info.size
+        # Cold store: the first cell simulates the calibration probes and
+        # publishes them; later cells seed from what it published.
+        store = MemoStore(tmp_path / "memo")
+        serial = run_cells(CELLS, memo_store=store)
+        assert store.info().cells_appended > 0
+        segments = store.info().segment_files
 
-        # Warm host: the next sweep's workers recalibrate entirely from the
-        # seeded snapshot — pure cross-process hits, nothing re-simulated.
-        parallel = run_cells(CELLS, processes=4, memo_machine=host)
-        info = host.execution_memo_info()
-        assert info.size == seeded_cells
-        assert info.merged_hits > 0
+        # Warm store: the workers recalibrate entirely from disk — nothing
+        # is re-simulated, so no worker publishes a segment.
+        parallel = run_cells(CELLS, processes=4, memo_store=store)
+        assert store.info().segment_files == segments
 
         for g, s, p in zip(golden, serial, parallel):
             assert _aggregates(g) == _aggregates(s) == _aggregates(p)
-
-    def test_incompatible_memo_host_rejected(self):
-        """A host with divergent model parameters must not seed workers —
-        memo keys carry no model information, so its cells would silently
-        corrupt every worker's suite calibration."""
-        from repro.machine import CPUModel, Machine
-
-        host = Machine(
-            noise_sigma=0.0, cpu_model=CPUModel(branch_misprediction_rate=0.08)
-        )
-        with pytest.raises(ValueError, match="not compatible"):
-            run_cells(CELLS[:1], memo_machine=host)
 
     def test_cells_are_order_independent(self):
         reversed_reports = run_cells(list(reversed(CELLS)))
@@ -202,37 +186,6 @@ class TestWorkerCrashRecovery:
             run_cells(cells, processes=2, retry_failed_serially=False)
 
 
-class TestMemoProbeSideEffectFree:
-    """The host-compatibility probe must not touch the host's memo state."""
-
-    def test_probe_leaves_counters_and_memo_untouched(self):
-        from repro.experiments.common import _assert_memo_host_compatible
-        from repro.machine import Machine
-
-        host = Machine(noise_sigma=0.0)
-        _assert_memo_host_compatible(host)
-        info = host.execution_memo_info()
-        assert (info.hits, info.misses, info.size) == (0, 0, 0)
-        assert (info.merged_hits, info.merged_misses) == (0, 0)
-
-    def test_run_cells_moves_only_merge_accounting_on_the_host(self):
-        from repro.experiments.common import _MEMO_PROBE
-        from repro.machine import Machine
-
-        host = Machine(noise_sigma=0.0)
-        run_cells(CELLS[:1], memo_machine=host)
-        info = host.execution_memo_info()
-        # The probe ran through the scalar path and the cells executed in
-        # their own calibration machines: the host's own hit/miss counters
-        # stay zero, only the merged_* accounting moves.
-        assert (info.hits, info.misses) == (0, 0)
-        assert info.merged_misses > 0
-        # And the probe cell itself never leaks into the host memo.
-        snapshot = host.export_execution_memo()
-        fingerprints = {key[0] for key, _ in snapshot.cells}
-        assert _MEMO_PROBE.fingerprint() not in fingerprints
-
-
 class _FailInWorkerPolicy(StaticPolicy):
     """Raises inside pool workers only; benign in the parent process.
 
@@ -248,11 +201,11 @@ class _FailInWorkerPolicy(StaticPolicy):
 
 
 class TestRetryGenerationMemoSeeding:
-    """Retried cells must seed from the host's current (absorbed) memo.
+    """Retried cells must seed from what earlier cells have published.
 
     Regression test: the retry pool and the serial fallback used to re-seed
-    from the stale call-time snapshot, re-simulating every calibration cell
-    the first generation had already handed back to the host.
+    from a stale call-time snapshot, re-simulating every calibration cell
+    the first generation had already simulated.
     """
 
     @pytest.fixture(autouse=True)
@@ -263,37 +216,25 @@ class TestRetryGenerationMemoSeeding:
         yield
         POLICY_BUILDERS.pop("fail-in-worker", None)
 
-    def test_serial_fallback_seeds_from_absorbed_deltas(self):
+    def test_serial_fallback_seeds_from_absorbed_deltas(self, tmp_path):
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("fail-policy registration requires fork start method")
-        from repro.machine import Machine
+        from repro.store import MemoStore
 
         healthy = RunCell("IS", "static-4", seed=1, max_timesteps=3)
         flaky = RunCell("IS", "fail-in-worker", seed=2, max_timesteps=3)
+        golden = execute_cell(RunCell("IS", "static-2b", seed=2, max_timesteps=3))
 
-        # Reference: the same two cells run serially against one warm host.
-        # The second cell's calibration is pure hits on what the first one
-        # simulated (both are IS cells sharing calibration probes).
-        reference_host = Machine(noise_sigma=0.0)
-        run_cells([healthy], memo_machine=reference_host)
-        run_cells(
-            [RunCell("IS", "static-2b", seed=2, max_timesteps=3)],
-            memo_machine=reference_host,
-        )
-        reference = reference_host.execution_memo_info()
-        assert reference.merged_hits > 0
-
-        # Failure path: the flaky cell fails in both pool generations and
-        # is recovered by the serial fallback in the parent (where the
-        # policy equals static-2b).  With fallback seeding fixed, the
-        # host's accounting is bit-identical to the serial reference; with
-        # the stale call-time snapshot it would re-simulate every
-        # calibration cell (merged_hits == 0, merged_misses doubled).
-        host = Machine(noise_sigma=0.0)
+        # The flaky cell fails in both pool generations and is recovered by
+        # the serial fallback in the caller (where the policy equals
+        # static-2b).  Both are IS cells sharing calibration probes, so the
+        # fallback seeds every probe from the healthy cell's segment and
+        # publishes nothing through the caller's store.
+        store = MemoStore(tmp_path / "memo")
         with pytest.warns(RuntimeWarning, match="re-running them serially"):
-            reports = run_cells([healthy, flaky], processes=2, memo_machine=host)
+            reports = run_cells([healthy, flaky], processes=2, memo_store=store)
         assert len(reports) == 2
-        info = host.execution_memo_info()
-        assert info.size == reference.size
-        assert info.merged_hits == reference.merged_hits
-        assert info.merged_misses == reference.merged_misses
+        assert reports[1].time_seconds == golden.time_seconds
+        assert reports[1].energy_joules == golden.energy_joules
+        assert store.info().cells_appended == 0
+        assert store.info().segment_files == 1
