@@ -1,8 +1,10 @@
-"""Benchmark: the micro-batching adaptation service under open-loop load.
+"""Benchmark: the micro-batching adaptation service under closed-loop load.
 
-A synthetic fleet of clients fires phase-sample requests at an
-:class:`~repro.service.AdaptationServer` as fast as the service admits
-them.  The comparison is the whole point of the service tier:
+A synthetic fleet of clients sends phase-sample requests to an
+:class:`~repro.service.AdaptationServer`; each client waits for its own
+decision before sending its next request, so the fleet keeps up to
+``CONCURRENCY`` requests in the service.  The comparison is the whole
+point of the service tier:
 
 * **batched** — the production shape: requests coalesce in the bounded
   micro-batching window and each batch is scored through ONE
@@ -96,7 +98,7 @@ def _phase_sample_requests(machine, bundle, count):
 
 
 def _serve(bundle, requests, max_batch_size, max_batch_window):
-    """One open-loop run against a server with a fresh prediction cache."""
+    """One closed-loop fleet run against a server with a fresh prediction cache."""
     fresh = PredictorBundle(
         full=bundle.full, cache=PredictionCache(capacity=len(requests) + 64)
     )

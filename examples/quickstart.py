@@ -8,7 +8,7 @@ default and once under ACTOR's prediction-based concurrency throttling.
 It prints the per-phase configuration decisions and the resulting
 time/power/energy/ED² improvements.
 
-It then demonstrates the eight scaling features of the serving path:
+It then demonstrates the seven scaling features of the serving path:
 
 * the **batched prediction engine** — one ``predict_batch`` /
   ``predict_batch_from_rates`` call scores every target configuration for
@@ -54,14 +54,6 @@ It then demonstrates the eight scaling features of the serving path:
   ``GridHandler(memo_store=...)`` so a restarted sweep or adaptation
   server re-simulates nothing it already knows — the store is the one
   channel through which the memo is shared;
-* the **sharded adaptation fleet** — ``ShardedAdaptationServer`` runs N
-  fully independent server shards (each its own event-loop thread,
-  batcher and handler) behind one ``submit()`` / TCP front door, routing
-  every request by a CRC32 of its workload identity so the same phase
-  always lands on the shard whose caches are warm with it; grid shards
-  share one ``MemoStore`` directory whose ``CompactionPolicy`` folds the
-  growing segment log in the background, and fleet ``metrics()`` merges
-  every shard's counters with a per-shard breakdown;
 * the **cluster fleet under a global power cap** — ``repro.cluster``
   registers N heterogeneous ``Node``s in a ``Fleet`` and lets the
   ``FleetScheduler`` place a weighted job stream and water-fill a hard
@@ -397,54 +389,7 @@ def main() -> None:
             f"segment(s) into a {compaction.cells}-cell base"
         )
 
-    # 11. The sharded fleet: N independent server shards (one event-loop
-    #     thread + batcher + handler each) behind a single front door.
-    #     Requests route deterministically on their workload identity —
-    #     the same fingerprint always lands on the same shard, so its
-    #     memo stays the warm home of that phase.  All grid shards share
-    #     one MemoStore directory; its CompactionPolicy keeps the segment
-    #     log folded in the background while the shards serve.
-    from repro.service import (
-        GridHandler,
-        GridProbeRequest,
-        ShardedAdaptationServer,
-    )
-    from repro.store import CompactionPolicy
-
-    probes = [
-        GridProbeRequest(client_id=f"app-{i}", phase=p.name, work=p.work)
-        for i, p in enumerate(suite.get("CG").phases + suite.get("MG").phases)
-    ]
-
-    with tempfile.TemporaryDirectory() as scratch:
-        fleet_dir = Path(scratch) / "fleet-memo"
-
-        def shard_handler(shard_index: int) -> GridHandler:
-            return GridHandler(
-                machine=Machine(noise_sigma=0.0),
-                memo_store=MemoStore(
-                    fleet_dir, policy=CompactionPolicy(max_segment_files=4)
-                ),
-            )
-
-        async def serve_sharded():
-            async with ShardedAdaptationServer(
-                shard_handler, num_shards=2, max_batch_window=0.005
-            ) as fleet:
-                await fleet.submit_many(probes)
-                return fleet.metrics()
-
-        stats = asyncio.run(serve_sharded())
-        print()
-        print(
-            f"Sharded fleet: {stats['decisions']} decisions over "
-            f"{stats['shards']} shards "
-            f"(per-shard {[s['decisions'] for s in stats['per_shard']]}, "
-            f"store segments "
-            f"{MemoStore(fleet_dir).info().segment_files})"
-        )
-
-    # 12. The cluster fleet under a global power cap: heterogeneous nodes
+    # 11. The cluster fleet under a global power cap: heterogeneous nodes
     #     (here two quad-core Xeons — one a straggler — and a dual-socket
     #     box), one memo-backed grid sweep per node, and a water-filling
     #     budget redistribution whose decisions are bit-reproducible and

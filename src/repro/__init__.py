@@ -17,10 +17,9 @@ The package is organized bottom-up:
   selection and the comparison policies (oracles, search, regression);
 * :mod:`repro.service` — adaptation-as-a-service: a micro-batching asyncio
   server that coalesces phase samples from many concurrent clients and
-  scores each batch through one vectorized prediction (or grid) pass, with
-  backpressure, metrics and client shims — scaled out by a sharded fleet
-  front door that routes each request to the event-loop shard whose
-  caches are warm with its workload;
+  scores each batch through one vectorized prediction (or grid, or fleet
+  schedule) pass, with backpressure, metrics, a JSON-lines TCP endpoint
+  and client shims;
 * :mod:`repro.store` — the durable shared execution-memo store: an
   append-only segment log (atomic publication, torn-tail crash recovery,
   cross-revision schema guards) with non-blocking compaction — run in the

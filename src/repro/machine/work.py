@@ -21,6 +21,7 @@ for multicore scaling behaviour on the quad-core Xeon:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Sequence
 
@@ -109,6 +110,12 @@ class WorkRequest:
     base_cpi: float = 0.55
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below (and JSON decoders
+        # accept NaN and Infinity), so finiteness is checked first.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.instructions <= 0:
             raise ValueError("instructions must be positive")
         for name in (

@@ -12,7 +12,9 @@ serve a fleet of adapting applications:
   :class:`PredictionHandler` scores every pending phase sample through a
   single :meth:`~repro.core.predictor.PredictorBundle.predict_batch` pass,
   :class:`GridHandler` resolves work-fingerprint probes through a single
-  memo-backed :meth:`~repro.machine.Machine.execute_grid` launch;
+  memo-backed :meth:`~repro.machine.Machine.execute_grid` launch, and
+  :class:`FleetHandler` schedules each batch onto a power-capped
+  :class:`~repro.cluster.Fleet` as one decision;
 * :mod:`repro.service.batcher` — the bounded request queue and the
   micro-batching scheduler (dispatch on ``max_batch_size`` OR the
   ``max_batch_window`` latency deadline, whichever fires first; reject
@@ -22,17 +24,11 @@ serve a fleet of adapting applications:
   a plain dict for tests, benches and dashboards;
 * :mod:`repro.service.server` — :class:`AdaptationServer`, the asyncio
   front door tying the tiers together, plus an optional JSON-lines TCP
-  endpoint (shared, as :class:`JsonLinesEndpoint`, with the sharded front
-  door — structured ``overloaded`` / ``shutting_down`` / ``bad_request``
-  / ``internal`` error responses, never a silently dropped connection);
-* :mod:`repro.service.shard` — :class:`ShardedAdaptationServer`, the
-  fleet tier: N independent server shards on N event-loop threads behind
-  one front door, with deterministic workload-fingerprint routing (a
-  phase's home shard holds its warm memo), merged fleet metrics, and a
-  shared durable memo directory compacted in the background by the
-  store's :class:`~repro.store.CompactionPolicy`;
-* :mod:`repro.service.client` — the client shim (bounded retry on
-  backpressure) and the open-loop synthetic load generator used by the
+  endpoint (structured ``overloaded`` / ``shutting_down`` /
+  ``bad_request`` / ``power_cap_infeasible`` / ``internal`` error
+  responses, never a silently dropped connection);
+* :mod:`repro.service.client` — the client shims (bounded retry on
+  backpressure) and the closed-loop synthetic load generator used by the
   service benchmark.
 
 Batched decisions are identical to serial per-phase selection on the same
@@ -52,13 +48,7 @@ from .messages import (
     ServiceStoppedError,
 )
 from .metrics import ServiceMetrics
-from .server import (
-    MAX_REQUEST_LINE_BYTES,
-    AdaptationServer,
-    JsonLinesEndpoint,
-    parse_request_line,
-)
-from .shard import ShardedAdaptationServer, routing_key
+from .server import MAX_REQUEST_LINE_BYTES, AdaptationServer, parse_request_line
 
 __all__ = [
     "AdaptationClient",
@@ -68,7 +58,6 @@ __all__ = [
     "FleetHandler",
     "GridHandler",
     "GridProbeRequest",
-    "JsonLinesEndpoint",
     "MicroBatcher",
     "OpenLoopResult",
     "PhaseSampleRequest",
@@ -78,8 +67,6 @@ __all__ = [
     "ServiceMetrics",
     "ServiceOverloadedError",
     "ServiceStoppedError",
-    "ShardedAdaptationServer",
     "TCPAdaptationClient",
-    "routing_key",
     "run_open_loop",
 ]

@@ -54,10 +54,6 @@ class MicroBatcher:
         Bound of the request queue; submissions beyond it are rejected.
     metrics:
         Shared metrics sink (a private one is created when omitted).
-    offload_handler:
-        Run the handler in the loop's default thread-pool executor
-        (default).  ``False`` calls it inline on the event loop — only
-        sensible for trivial handlers in tests.
     """
 
     def __init__(
@@ -67,7 +63,6 @@ class MicroBatcher:
         max_batch_window: float = 0.002,
         max_queue_depth: int = 1024,
         metrics: Optional[ServiceMetrics] = None,
-        offload_handler: bool = True,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -88,7 +83,6 @@ class MicroBatcher:
         self.metrics.elapsed_floor = max(
             self.metrics.elapsed_floor, self.max_batch_window
         )
-        self.offload_handler = offload_handler
         self._queue: Optional[asyncio.Queue] = None
         self._scheduler: Optional[asyncio.Task] = None
 
@@ -210,12 +204,9 @@ class MicroBatcher:
     ) -> None:
         requests = [request for request, _, _ in batch]
         try:
-            if self.offload_handler:
-                responses = await asyncio.get_running_loop().run_in_executor(
-                    None, self.handle_batch, requests
-                )
-            else:
-                responses = self.handle_batch(requests)
+            responses = await asyncio.get_running_loop().run_in_executor(
+                None, self.handle_batch, requests
+            )
             if len(responses) != len(requests):
                 raise RuntimeError(
                     f"handler answered {len(responses)} responses for "

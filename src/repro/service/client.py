@@ -1,4 +1,4 @@
-"""Client shims and the open-loop synthetic load generator.
+"""Client shims and the closed-loop synthetic load generator.
 
 :class:`AdaptationClient` wraps an in-process
 :class:`~repro.service.server.AdaptationServer` with a bounded
@@ -11,12 +11,14 @@ desynchronize without sacrificing reproducible tests.
 same retry discipline.
 
 :func:`run_open_loop` is the synthetic fleet used by the service benchmark:
-``concurrency`` independent clients each firing their request list as fast
-as the service admits them (open loop — submission does not wait for the
-previous decision of *other* clients).  It returns an
-:class:`OpenLoopResult` with the achieved decisions/sec and every decision
-in submission order, so benches can both assert throughput floors and check
-bit-identical agreement with serial selection.
+``concurrency`` independent clients, each sending its share of the request
+list one at a time.  Despite the name it is a closed loop — each client
+waits for its own decision before sending its next request, so at most
+``concurrency`` requests are in the service at once; clients never wait
+for each other.  It returns an :class:`OpenLoopResult` with the achieved
+decisions/sec and every decision in submission order, so benches can both
+assert throughput floors and check bit-identical agreement with serial
+selection.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class _RetryBackoff:
     synchronized wave (a retry stampede).  Both shims therefore derive
     each sleep from :meth:`next_retry_delay`: the hint, capped, scaled by
     the retry attempt, and multiplied by a *deterministic per-client*
-    jitter factor — seeded, so tests (and the open-loop bench) stay
+    jitter factor — seeded, so tests (and the service bench) stay
     reproducible while concurrent retriers spread out.
     """
 
@@ -259,7 +261,7 @@ class TCPAdaptationClient(_RetryBackoff):
 
 @dataclass
 class OpenLoopResult:
-    """Outcome of one :func:`run_open_loop` run."""
+    """Outcome of one :func:`run_open_loop` run (a closed-loop client fleet)."""
 
     decisions: List[AdaptationDecision]
     elapsed_seconds: float
@@ -281,12 +283,12 @@ async def run_open_loop(
     max_retries: int = 64,
     backoff_cap: float = 0.05,
 ) -> OpenLoopResult:
-    """Drive ``requests`` through ``server`` with an open-loop client fleet.
+    """Drive ``requests`` through ``server`` with a closed-loop client fleet.
 
     The request list is dealt round-robin to ``concurrency`` clients; each
-    client fires its share sequentially (awaiting its own decisions), while
-    the fleet as a whole keeps the service saturated.  Decisions come back
-    in the original request order.
+    client sends its share sequentially, awaiting each decision before its
+    next request, so the service holds at most ``concurrency`` requests at
+    a time.  Decisions come back in the original request order.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
@@ -311,7 +313,7 @@ async def run_open_loop(
     elapsed = time.perf_counter() - start
     missing = [i for i, d in enumerate(slots) if d is None]
     if missing:
-        raise RuntimeError(f"open-loop run left {len(missing)} requests unanswered")
+        raise RuntimeError(f"client fleet left {len(missing)} requests unanswered")
     return OpenLoopResult(
         decisions=list(slots),  # type: ignore[arg-type]
         elapsed_seconds=elapsed,

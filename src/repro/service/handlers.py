@@ -71,21 +71,18 @@ class PredictionHandler(DecisionHandler):
         Ranking strategy; the paper's highest-predicted-IPC selector by
         default.  Pass an energy-objective selector (with its cost model)
         for DVFS-aware serving.
-    include_measured_sample:
-        Include the directly measured sample-configuration IPC in each
-        ranking, exactly as :class:`~repro.core.policies.PredictionPolicy`
-        does (default).
+
+    Each ranking includes the directly measured sample-configuration IPC,
+    exactly as :class:`~repro.core.policies.PredictionPolicy` does.
     """
 
     def __init__(
         self,
         bundle: PredictorBundle,
         selector: Optional[ConfigurationSelector] = None,
-        include_measured_sample: bool = True,
     ) -> None:
         self.bundle = bundle
         self.selector = selector or ConfigurationSelector()
-        self.include_measured_sample = include_measured_sample
 
     def handle_batch(
         self, requests: Sequence[PhaseSampleRequest]
@@ -103,11 +100,7 @@ class PredictionHandler(DecisionHandler):
             rows = self.bundle.predict_batch_from_rates(samples, event_set=event_set)
             for i, predictions in zip(indices, rows):
                 request = requests[i]
-                measured = (
-                    (self.bundle.sample_configuration, request.ipc_sample)
-                    if self.include_measured_sample
-                    else None
-                )
+                measured = (self.bundle.sample_configuration, request.ipc_sample)
                 ranking = self.selector.rank(predictions, measured_sample=measured)
                 decisions[i] = AdaptationDecision(
                     client_id=request.client_id,

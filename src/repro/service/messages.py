@@ -8,6 +8,7 @@ JSON-able dicts for the TCP endpoint (see :mod:`repro.service.server`).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -55,7 +56,16 @@ class PhaseSampleRequest:
 
     def __post_init__(self) -> None:
         # Freeze the mapping so requests stay hashable value objects.
-        object.__setattr__(self, "rates", tuple(sorted(dict(self.rates).items())))
+        rates = tuple(sorted(dict(self.rates).items()))
+        # JSON decoders accept NaN and Infinity; a non-finite sample would
+        # be ranked on NaN predictions and cached under a key no later
+        # sample can hit, so it is refused here (a wire bad_request).
+        if not math.isfinite(self.ipc_sample):
+            raise ValueError(f"ipc_sample must be finite, got {self.ipc_sample}")
+        for name, value in rates:
+            if not math.isfinite(value):
+                raise ValueError(f"rate {name!r} must be finite, got {value}")
+        object.__setattr__(self, "rates", rates)
 
     def rates_dict(self) -> Dict[str, float]:
         """The sampled rates as a plain mapping."""

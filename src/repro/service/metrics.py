@@ -18,16 +18,17 @@ import numpy as np
 
 __all__ = ["ServiceMetrics"]
 
+#: Number of most-recent per-request latencies kept for the percentile
+#: estimates (a bounded deque, so a long-running server's metrics stay O(1)
+#: in memory).
+LATENCY_WINDOW = 4096
+
 
 class ServiceMetrics:
     """Counters of one adaptation server.
 
     Parameters
     ----------
-    latency_window:
-        Number of most-recent per-request latencies kept for the
-        percentile estimates (a bounded deque, so a long-running server's
-        metrics stay O(1) in memory).
     clock:
         Monotonic time source (injectable for tests).
 
@@ -41,20 +42,14 @@ class ServiceMetrics:
         0.0.
     """
 
-    def __init__(
-        self,
-        latency_window: int = 4096,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
-        if latency_window < 1:
-            raise ValueError("latency_window must be >= 1")
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
         self.elapsed_floor = 0.0
         self.decisions = 0
         self.batches = 0
         self.rejections = 0
         self.batch_size_histogram: Counter = Counter()
-        self._latencies: Deque[float] = deque(maxlen=latency_window)
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._first_dispatch: Optional[float] = None
         self._last_dispatch: Optional[float] = None
 

@@ -1,15 +1,13 @@
 """The asyncio front door: :class:`AdaptationServer` ties the tiers together.
 
-One server = one handler + one micro-batching scheduler + one metrics sink.
-In-process callers ``await server.submit(request)``; remote callers speak a
-one-line-of-JSON-per-message TCP protocol (:meth:`AdaptationServer.serve_tcp`)
-handled by the same batcher, so local and remote requests coalesce into the
-same batches.
-
-The JSON-lines endpoint itself lives in :class:`JsonLinesEndpoint`, a mixin
-over anything with an async ``submit(request)`` — the sharded front door
-(:class:`~repro.service.shard.ShardedAdaptationServer`) reuses it verbatim,
-so every fix to the wire protocol's error mapping applies fleet-wide.
+One server = one handler + one micro-batching scheduler (which owns the
+metrics sink).  In-process callers ``await server.submit(request)``; remote
+callers speak a one-line-of-JSON-per-message TCP protocol
+(:meth:`AdaptationServer.serve_tcp`) handled by the same batcher, so local
+and remote requests coalesce into the same batches.  Every TCP line gets an
+answer: a decision, or a structured ``overloaded`` / ``shutting_down`` /
+``bad_request`` / ``power_cap_infeasible`` / ``internal`` error — never a
+silently dropped connection.
 
 The server is an async context manager::
 
@@ -35,11 +33,9 @@ from .messages import (
     ServiceOverloadedError,
     ServiceStoppedError,
 )
-from .metrics import ServiceMetrics
 
 __all__ = [
     "AdaptationServer",
-    "JsonLinesEndpoint",
     "MAX_REQUEST_LINE_BYTES",
     "parse_request_line",
 ]
@@ -75,11 +71,23 @@ def parse_request_line(line: bytes) -> Request:
     raise ValueError(f"unknown request kind {kind!r}")
 
 
-class JsonLinesEndpoint:
-    """The JSON-lines TCP protocol over any async ``submit(request)``.
+class AdaptationServer:
+    """Micro-batching adaptation server over one decision handler.
 
-    Protocol: one JSON object per line.  Requests are
-    ``{"kind": "phase_sample" | "grid_probe", ...payload}``; responses are
+    Parameters
+    ----------
+    handler:
+        The batch handler answering coalesced requests
+        (:class:`~repro.service.handlers.PredictionHandler`,
+        :class:`~repro.service.handlers.GridHandler` or
+        :class:`~repro.service.handlers.FleetHandler`).
+    max_batch_size / max_batch_window / max_queue_depth:
+        Batching and backpressure knobs, passed to
+        :class:`~repro.service.batcher.MicroBatcher`.
+
+    TCP protocol (:meth:`serve_tcp`): one JSON object per line.  Requests
+    are ``{"kind": "phase_sample" | "grid_probe", ...payload}``; responses
+    are
 
     * ``{"ok": true, "decision": {...}}`` — served;
     * ``{"ok": false, "error": "overloaded", "retry_after": s, ...}`` —
@@ -99,17 +107,32 @@ class JsonLinesEndpoint:
       down every client multiplexed onto the connection.
     """
 
-    _tcp_server: Optional[asyncio.AbstractServer] = None
-    _tcp_connections: Optional[set] = None
-
-    async def submit(self, request: Request) -> AdaptationDecision:
-        raise NotImplementedError  # pragma: no cover - mixin contract
+    def __init__(
+        self,
+        handler: DecisionHandler,
+        max_batch_size: int = 64,
+        max_batch_window: float = 0.002,
+        max_queue_depth: int = 1024,
+    ) -> None:
+        self.handler = handler
+        self.batcher = MicroBatcher(
+            handler.handle_batch,
+            max_batch_size=max_batch_size,
+            max_batch_window=max_batch_window,
+            max_queue_depth=max_queue_depth,
+        )
+        self._tcp_server: Optional[asyncio.AbstractServer] = None
+        self._tcp_connections: set = set()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    async def start(self) -> None:
+        """Start the batching scheduler."""
+        await self.batcher.start()
+
     async def serve_tcp(self, host: str = "127.0.0.1", port: int = 0) -> tuple:
-        """Expose the endpoint over TCP; returns the bound ``(host, port)``.
+        """Expose the server over TCP; returns the bound ``(host, port)``.
 
         Raises ``RuntimeError`` when a listener is already active: silently
         replacing it would leak the first socket (nothing would ever close
@@ -121,9 +144,7 @@ class JsonLinesEndpoint:
                 "serve_tcp() called twice: a TCP listener is already active "
                 "on this server; stop() it before binding another endpoint"
             )
-        await self._start_for_tcp()
-        if self._tcp_connections is None:
-            self._tcp_connections = set()
+        await self.start()
         # Frame up to twice the protocol's line limit so an oversized line
         # is answered structurally by parse_request_line's guard instead of
         # tripping the StreamReader's own limit mid-frame.
@@ -136,38 +157,66 @@ class JsonLinesEndpoint:
         sockname = self._tcp_server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
-    async def _start_for_tcp(self) -> None:
-        """Hook: bring the serving machinery up before binding the socket."""
+    async def stop(self) -> None:
+        """Stop the TCP endpoint (if any) and the scheduler.
 
-    def _begin_tcp_shutdown(self) -> Optional[asyncio.AbstractServer]:
-        """Phase 1 of shutdown: stop accepting new connections.
-
-        Returns the listener for :meth:`_finish_tcp_shutdown`.  Split in
-        two because ``Server.wait_closed`` waits for *active connections*:
-        the serving machinery must fail in-flight requests between the
-        phases so each connection can still answer ``shutting_down``
-        before its socket goes away — waiting first would deadlock against
-        a connection blocked in ``submit()``.
+        Ordering matters: the listener stops accepting first, then the
+        batcher fails every queued/in-flight request with
+        :class:`ServiceStoppedError`, and only then are live connections
+        drained — so each one answers ``shutting_down`` instead of seeing
+        its socket silently drop.
         """
-        server, self._tcp_server = self._tcp_server, None
-        if server is not None:
-            server.close()
-        return server
-
-    async def _finish_tcp_shutdown(
-        self, server: Optional[asyncio.AbstractServer]
-    ) -> None:
-        """Phase 2: flush pending answers, close connections, reap the listener."""
-        if server is None:
+        listener, self._tcp_server = self._tcp_server, None
+        if listener is not None:
+            listener.close()
+        await self.batcher.stop()
+        if listener is None:
             return
         # The failed futures have scheduled their connection tasks; yield
         # so each can write its structured shutting_down response before
         # the transports close (close() still flushes buffered writes).
         for _ in range(2):
             await asyncio.sleep(0)
-        for writer in list(self._tcp_connections or ()):
+        for writer in list(self._tcp_connections):
             writer.close()
-        await server.wait_closed()
+        # Server.wait_closed waits for active connections, so it comes
+        # last: waiting before the batcher failed the in-flight requests
+        # would deadlock against a connection blocked in submit().
+        await listener.wait_closed()
+
+    async def __aenter__(self) -> "AdaptationServer":
+        await self.start()
+        return self
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        await self.stop()
+
+    # ------------------------------------------------------------------
+    # in-process API
+    # ------------------------------------------------------------------
+    async def submit(self, request: Request) -> AdaptationDecision:
+        """Submit one request; resolves when its batch has been scored.
+
+        Raises :class:`~repro.service.messages.ServiceOverloadedError` when
+        the request queue is at its bound.
+        """
+        decision = await self.batcher.submit(request)
+        return decision  # type: ignore[return-value]
+
+    async def submit_many(
+        self, requests: Sequence[Request]
+    ) -> Sequence[AdaptationDecision]:
+        """Submit several requests concurrently, preserving input order."""
+        return await asyncio.gather(
+            *(self.submit(request) for request in requests)
+        )
+
+    def metrics(self) -> Dict[str, object]:
+        """The full metrics surface as one plain dict."""
+        return self.batcher.metrics.snapshot(
+            queue_depth=self.batcher.queue_depth(),
+            caches=self.handler.cache_info(),
+        )
 
     # ------------------------------------------------------------------
     # connection handling
@@ -175,8 +224,7 @@ class JsonLinesEndpoint:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        if self._tcp_connections is not None:
-            self._tcp_connections.add(writer)
+        self._tcp_connections.add(writer)
         try:
             while True:
                 try:
@@ -205,8 +253,7 @@ class JsonLinesEndpoint:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            if self._tcp_connections is not None:
-                self._tcp_connections.discard(writer)
+            self._tcp_connections.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -251,101 +298,3 @@ class JsonLinesEndpoint:
                 "detail": f"{type(exc).__name__}: {exc}",
             }
         return {"ok": True, "decision": decision.to_payload()}
-
-
-class AdaptationServer(JsonLinesEndpoint):
-    """Micro-batching adaptation server over one decision handler.
-
-    Parameters
-    ----------
-    handler:
-        The batch handler answering coalesced requests
-        (:class:`~repro.service.handlers.PredictionHandler` or
-        :class:`~repro.service.handlers.GridHandler`).
-    max_batch_size / max_batch_window / max_queue_depth:
-        Batching and backpressure knobs, passed to
-        :class:`~repro.service.batcher.MicroBatcher`.
-    metrics:
-        Shared metrics sink (a private one is created when omitted).
-    offload_handler:
-        Score batches in a worker thread (default) so the event loop keeps
-        accepting submissions while a batch is in flight.
-    """
-
-    def __init__(
-        self,
-        handler: DecisionHandler,
-        max_batch_size: int = 64,
-        max_batch_window: float = 0.002,
-        max_queue_depth: int = 1024,
-        metrics: Optional[ServiceMetrics] = None,
-        offload_handler: bool = True,
-    ) -> None:
-        self.handler = handler
-        self._metrics = metrics or ServiceMetrics()
-        self.batcher = MicroBatcher(
-            handler.handle_batch,
-            max_batch_size=max_batch_size,
-            max_batch_window=max_batch_window,
-            max_queue_depth=max_queue_depth,
-            metrics=self._metrics,
-            offload_handler=offload_handler,
-        )
-        self._tcp_server = None
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Start the batching scheduler."""
-        await self.batcher.start()
-
-    async def _start_for_tcp(self) -> None:
-        await self.start()
-
-    async def stop(self) -> None:
-        """Stop the TCP endpoint (if any) and the scheduler.
-
-        Ordering matters: the listener stops accepting first, then the
-        batcher fails every queued/in-flight request with
-        :class:`ServiceStoppedError`, and only then are live connections
-        drained — so each one answers ``shutting_down`` instead of seeing
-        its socket silently drop.
-        """
-        listener = self._begin_tcp_shutdown()
-        await self.batcher.stop()
-        await self._finish_tcp_shutdown(listener)
-
-    async def __aenter__(self) -> "AdaptationServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.stop()
-
-    # ------------------------------------------------------------------
-    # in-process API
-    # ------------------------------------------------------------------
-    async def submit(self, request: Request) -> AdaptationDecision:
-        """Submit one request; resolves when its batch has been scored.
-
-        Raises :class:`~repro.service.messages.ServiceOverloadedError` when
-        the request queue is at its bound.
-        """
-        decision = await self.batcher.submit(request)
-        return decision  # type: ignore[return-value]
-
-    async def submit_many(
-        self, requests: Sequence[Request]
-    ) -> Sequence[AdaptationDecision]:
-        """Submit several requests concurrently, preserving input order."""
-        return await asyncio.gather(
-            *(self.submit(request) for request in requests)
-        )
-
-    def metrics(self) -> Dict[str, object]:
-        """The full metrics surface as one plain dict."""
-        return self._metrics.snapshot(
-            queue_depth=self.batcher.queue_depth(),
-            caches=self.handler.cache_info(),
-        )

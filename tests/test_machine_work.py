@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,15 @@ class TestWorkRequestValidation:
     def test_rejects_non_positive_base_cpi(self):
         with pytest.raises(ValueError):
             WorkRequest(instructions=1e8, base_cpi=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", [f.name for f in fields(WorkRequest)])
+    def test_rejects_non_finite_fields(self, field, value):
+        # NaN slips through every ordered range check, so a NaN phase
+        # would otherwise be simulated into NaN cells.
+        kwargs = {"instructions": 1e8, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            WorkRequest(**kwargs)
 
 
 class TestWorkRequestDerived:

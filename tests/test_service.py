@@ -510,6 +510,7 @@ class TestLifecycle:
             await server.start()
             decision = await server.submit(_request(0))
             await server.stop()
+            await server.stop()
             return decision
 
         assert asyncio.run(main()).client_id == "c0"

@@ -2,7 +2,8 @@
 
 ``parse_request_line`` is the single choke point every TCP byte passes
 through; these tests pin its rejection paths (oversized lines, junk
-bytes, non-object JSON, unknown kinds, missing fields) and the
+bytes, non-object JSON, unknown kinds, missing fields, non-finite
+numbers) and the
 connection-level behavior when a line overruns even the stream reader's
 enlarged framing limit: one structured ``bad_request`` answer, then a
 clean close — never a silent drop.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 
 import pytest
 
@@ -77,6 +79,31 @@ class TestParseRequestLine:
             json.dumps(dict(sample.to_payload(), kind="phase_sample")).encode()
         )
         assert parsed == sample
+
+    @pytest.mark.parametrize("number", [b"NaN", b"Infinity", b"-Infinity", b"1e400"])
+    @pytest.mark.parametrize(
+        "template, field",
+        [
+            (
+                b'{"client_id": "c", "phase": "p", "ipc_sample": %s, "rates": {}}',
+                "ipc_sample",
+            ),
+            (
+                b'{"client_id": "c", "phase": "p", "ipc_sample": 1.0, '
+                b'"rates": {"l2": %s}}',
+                "rate 'l2'",
+            ),
+            (
+                b'{"kind": "grid_probe", "client_id": "c", "phase": "p", '
+                b'"work": {"instructions": 1e8, "working_set_mb": %s}}',
+                "working_set_mb",
+            ),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected(self, template, field, number):
+        # json.loads accepts NaN and +-Infinity, and 1e400 parses to inf.
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be finite")):
+            parse_request_line(template % number)
 
 
 class _EchoHandler(DecisionHandler):
@@ -172,3 +199,51 @@ class TestOversizedLinesOverTCP:
         assert response["error"] == "bad_request"
         assert "too long" in response["detail"]
         assert eof == b""  # server closed after the one answer
+
+
+class TestNonFiniteNumbersOverTCP:
+    def test_nan_line_answers_bad_request_and_never_reaches_the_handler(self):
+        class _RecordingHandler(_EchoHandler):
+            def __init__(self):
+                self.seen = []
+
+            def handle_batch(self, requests):
+                self.seen.extend(requests)
+                return super().handle_batch(requests)
+
+        handler = _RecordingHandler()
+
+        async def main():
+            server = AdaptationServer(handler)
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(
+                    b'{"client_id": "bad", "phase": "p", "ipc_sample": NaN, '
+                    b'"rates": {}}\n'
+                )
+                await writer.drain()
+                first = json.loads(await reader.readline())
+                good = {"client_id": "good", "phase": "p", "ipc_sample": 1.0}
+                writer.write(json.dumps(good).encode() + b"\n")
+                await writer.drain()
+                second = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                return first, second
+            finally:
+                await server.stop()
+
+        outcome = asyncio.run(main())
+        if outcome is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        first, second = outcome
+        assert first["ok"] is False
+        assert first["error"] == "bad_request"
+        assert "ipc_sample must be finite" in first["detail"]
+        assert second["ok"] is True
+        assert second["decision"]["client_id"] == "good"
+        assert [r.client_id for r in handler.seen] == ["good"]
