@@ -24,9 +24,11 @@ serve a fleet of adapting applications:
   a plain dict for tests, benches and dashboards;
 * :mod:`repro.service.server` — :class:`AdaptationServer`, the asyncio
   front door tying the tiers together, plus an optional JSON-lines TCP
-  endpoint (structured ``overloaded`` / ``shutting_down`` /
-  ``bad_request`` / ``power_cap_infeasible`` / ``internal`` error
-  responses, never a silently dropped connection);
+  endpoint.  A connection may pipeline lines (up to ``max_batch_size``
+  unanswered, answered in request order), so one connection's lines can
+  share a batch.  Errors are structured ``overloaded`` /
+  ``shutting_down`` / ``bad_request`` / ``power_cap_infeasible`` /
+  ``internal`` responses, never a silently dropped connection;
 * :mod:`repro.service.client` — the client shims (bounded retry on
   backpressure) and the closed-loop synthetic load generator used by the
   service benchmark.

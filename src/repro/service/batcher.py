@@ -4,6 +4,8 @@
 adaptation server.  Submissions enqueue a ``(request, future, t0)`` triple;
 the scheduler coalesces queued requests into batches and hands each batch
 to the handler **once**, resolving every request's future with its decision.
+A submission cancelled before its batch is dispatched is dropped from the
+batch and never counted as a decision.
 
 Dispatch policy — whichever fires first:
 
@@ -175,10 +177,18 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # scheduler
     # ------------------------------------------------------------------
-    async def _collect_batch(self) -> List[Tuple[object, asyncio.Future, float]]:
-        """Dequeue one batch: first item blocks, then size/window race."""
+    async def _collect_batch(
+        self, batch: List[Tuple[object, asyncio.Future, float]]
+    ) -> None:
+        """Dequeue one batch into ``batch``: first item blocks, then
+        size/window race.
+
+        Fills the caller's list in place, so when a cancellation lands
+        inside the window the entries already taken stay where
+        :meth:`_run` can fail them.
+        """
         assert self._queue is not None
-        batch = [await self._queue.get()]
+        batch.append(await self._queue.get())
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.max_batch_window
         while len(batch) < self.max_batch_size:
@@ -197,7 +207,11 @@ class MicroBatcher:
                 )
             except asyncio.TimeoutError:
                 break
-        return batch
+            if self._scheduler is not asyncio.current_task():
+                # stop() detached and cancelled this scheduler, but the
+                # cancellation landed as the get completed, and wait_for
+                # (Python 3.11) returned the item instead of raising.
+                raise asyncio.CancelledError
 
     async def _dispatch(
         self, batch: List[Tuple[object, asyncio.Future, float]]
@@ -212,13 +226,6 @@ class MicroBatcher:
                     f"handler answered {len(responses)} responses for "
                     f"{len(requests)} requests"
                 )
-        except asyncio.CancelledError:
-            # stop() cancelled the scheduler mid-dispatch: fail the batch's
-            # futures instead of abandoning their awaiters.
-            for _, future, _ in batch:
-                if not future.done():
-                    future.set_exception(ServiceStoppedError())
-            raise
         except Exception as exc:
             # A failing batch fails exactly its own requests; the scheduler
             # survives to serve the next batch.
@@ -229,12 +236,28 @@ class MicroBatcher:
         now = time.perf_counter()
         latencies = []
         for (_, future, submitted), response in zip(batch, responses):
-            latencies.append(now - submitted)
-            if not future.done():
+            if not future.done():  # not cancelled while the handler ran
                 future.set_result(response)
-        self.metrics.record_batch(len(batch), latencies)
+                latencies.append(now - submitted)
+        if latencies:
+            self.metrics.record_batch(len(latencies), latencies)
 
     async def _run(self) -> None:
         while True:
-            batch = await self._collect_batch()
-            await self._dispatch(batch)
+            batch: List[Tuple[object, asyncio.Future, float]] = []
+            try:
+                await self._collect_batch(batch)
+                # A submitter cancelled while queued (say, its connection
+                # dropped) awaits no answer: spend no handler work on it.
+                batch = [entry for entry in batch if not entry[1].done()]
+                if batch:
+                    await self._dispatch(batch)
+            except asyncio.CancelledError:
+                # stop() cancelled the scheduler inside the batch window or
+                # mid-dispatch.  This batch is off the queue, so stop()
+                # cannot see it: fail its futures here instead of
+                # abandoning their awaiters.
+                for _, future, _ in batch:
+                    if not future.done():
+                        future.set_exception(ServiceStoppedError())
+                raise

@@ -157,7 +157,13 @@ class AdaptationClient(_RetryBackoff):
 
 
 class TCPAdaptationClient(_RetryBackoff):
-    """JSON-lines TCP client mirroring :class:`AdaptationClient`'s retry."""
+    """JSON-lines TCP client mirroring :class:`AdaptationClient`'s retry.
+
+    It sends one line at a time and reads that line's answer before the
+    next.  The server also accepts pipelined lines and answers them in
+    order, but it needs no change here: a caller wanting more requests in
+    flight opens more clients.
+    """
 
     def __init__(
         self,

@@ -4,10 +4,13 @@ One server = one handler + one micro-batching scheduler (which owns the
 metrics sink).  In-process callers ``await server.submit(request)``; remote
 callers speak a one-line-of-JSON-per-message TCP protocol
 (:meth:`AdaptationServer.serve_tcp`) handled by the same batcher, so local
-and remote requests coalesce into the same batches.  Every TCP line gets an
-answer: a decision, or a structured ``overloaded`` / ``shutting_down`` /
-``bad_request`` / ``power_cap_infeasible`` / ``internal`` error — never a
-silently dropped connection.
+and remote requests coalesce into the same batches.  A connection may
+pipeline lines: each line is submitted as soon as it is read, up to
+``max_batch_size`` unanswered lines per connection, so one connection's
+lines can share a batch; answers are written in request order.  Every TCP
+line gets an answer: a decision, or a structured ``overloaded`` /
+``shutting_down`` / ``bad_request`` / ``power_cap_infeasible`` /
+``internal`` error — never a silently dropped connection.
 
 The server is an async context manager::
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..cluster.scheduler import PowerCapInfeasibleError
 from .batcher import MicroBatcher
@@ -85,9 +88,15 @@ class AdaptationServer:
         Batching and backpressure knobs, passed to
         :class:`~repro.service.batcher.MicroBatcher`.
 
-    TCP protocol (:meth:`serve_tcp`): one JSON object per line.  Requests
-    are ``{"kind": "phase_sample" | "grid_probe", ...payload}``; responses
-    are
+    TCP protocol (:meth:`serve_tcp`): one JSON object per line.  A client
+    may write its next lines before the earlier answers arrive.  The
+    server submits each line to the batcher as soon as it reads it, holds
+    at most ``max_batch_size`` unanswered lines per connection (at that
+    bound it stops reading the socket, and TCP flow control holds the
+    client back) and writes the answers in request order.  At end of
+    input, including a half-close, it answers every line already read and
+    then closes.  Requests are
+    ``{"kind": "phase_sample" | "grid_probe", ...payload}``; responses are
 
     * ``{"ok": true, "decision": {...}}`` — served;
     * ``{"ok": false, "error": "overloaded", "retry_after": s, ...}`` —
@@ -96,7 +105,9 @@ class AdaptationServer:
       service stopped before this request was served (non-retriable
       against this endpoint);
     * ``{"ok": false, "error": "bad_request", "detail": ...}`` — the line
-      did not parse into a request;
+      did not parse into a request.  A line too long to frame is answered
+      after the answers to the lines before it, and the connection then
+      closes;
     * ``{"ok": false, "error": "power_cap_infeasible", "cap_watts": w,
       "min_feasible_watts": w}`` — a fleet handler's power cap is below the
       minimum draw of this request's batch (non-retriable while the cap
@@ -122,7 +133,10 @@ class AdaptationServer:
             max_queue_depth=max_queue_depth,
         )
         self._tcp_server: Optional[asyncio.AbstractServer] = None
-        self._tcp_connections: set = set()
+        #: Live connection tasks -> (their line-reading task, their writer).
+        self._tcp_connections: Dict[
+            asyncio.Task, Tuple[asyncio.Task, asyncio.StreamWriter]
+        ] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -162,27 +176,38 @@ class AdaptationServer:
 
         Ordering matters: the listener stops accepting first, then the
         batcher fails every queued/in-flight request with
-        :class:`ServiceStoppedError`, and only then are live connections
-        drained — so each one answers ``shutting_down`` instead of seeing
-        its socket silently drop.
+        :class:`ServiceStoppedError`, and only then does each live
+        connection stop reading, write the answer to every line it read
+        (served or ``shutting_down``) and close — so no client sees its
+        socket silently drop.  Returns once every connection task has
+        finished; a connection whose client has not taken its answers
+        within 5 s is aborted.
         """
         listener, self._tcp_server = self._tcp_server, None
         if listener is not None:
             listener.close()
         await self.batcher.stop()
-        if listener is None:
-            return
-        # The failed futures have scheduled their connection tasks; yield
-        # so each can write its structured shutting_down response before
-        # the transports close (close() still flushes buffered writes).
-        for _ in range(2):
-            await asyncio.sleep(0)
-        for writer in list(self._tcp_connections):
-            writer.close()
-        # Server.wait_closed waits for active connections, so it comes
-        # last: waiting before the batcher failed the in-flight requests
-        # would deadlock against a connection blocked in submit().
-        await listener.wait_closed()
+        connections = dict(self._tcp_connections)
+        for reading, _ in connections.values():
+            reading.cancel()
+        if connections:
+            # Every answer is settled now, so a connection waits only for
+            # its client to take the answers; abort one that does not.
+            _, late = await asyncio.wait(connections, timeout=5.0)
+            if late:
+                for task in late:
+                    connections[task][1].transport.abort()
+                _, late = await asyncio.wait(late, timeout=1.0)
+            if late:
+                logger.warning(
+                    "stop(): %d connection task(s) still running after "
+                    "their transports were aborted",
+                    len(late),
+                )
+        if listener is not None:
+            # Only from Python 3.12 does this also wait for the connections,
+            # hence the explicit wait above.
+            await listener.wait_closed()
 
     async def __aenter__(self) -> "AdaptationServer":
         await self.start()
@@ -224,41 +249,81 @@ class AdaptationServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._tcp_connections.add(writer)
+        """Write the answers of one connection, in request order.
+
+        A child task reads the lines (:meth:`_read_lines`); this task is
+        never cancelled, because on Python 3.11 a cancelled connection
+        task makes asyncio log an error.
+        """
+        answers: asyncio.Queue = asyncio.Queue()
+        # One slot per unanswered line, released as its answer is written.
+        slots = asyncio.Semaphore(self.batcher.max_batch_size)
+        reading = asyncio.create_task(self._read_lines(reader, answers, slots))
+        # Reading ends with None on the queue, after every answer it queued
+        # -- also when it is cancelled before its first step.
+        reading.add_done_callback(lambda _: answers.put_nowait(None))
+        this = asyncio.current_task()
+        self._tcp_connections[this] = (reading, writer)
+        try:
+            while (answer := await answers.get()) is not None:
+                response = await answer
+                writer.write(json.dumps(response).encode("utf-8") + b"\n")
+                slots.release()
+                await writer.drain()
+        except OSError:
+            pass  # the connection failed; its pending answers are cancelled below
+        finally:
+            reading.cancel()
+            unanswered = [reading]
+            while not answers.empty():
+                answer = answers.get_nowait()
+                if answer is not None:
+                    answer.cancel()
+                    unanswered.append(answer)
+            await asyncio.wait(unanswered)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass
+            # Last, so that stop() waits for a connection already closing.
+            del self._tcp_connections[this]
+
+    async def _read_lines(
+        self,
+        reader: asyncio.StreamReader,
+        answers: asyncio.Queue,
+        slots: asyncio.Semaphore,
+    ) -> None:
+        """Submit each line as it is read, queueing its answer task in order.
+
+        Reads only while a slot is free; returns at end of input, on a read
+        error or after an unframeable line.
+        """
         try:
             while True:
+                await slots.acquire()
                 try:
                     line = await reader.readline()
                 except ValueError as exc:
                     # The line overran even the enlarged reader limit; the
-                    # stream's framing is gone, so answer once and close
+                    # stream's framing is gone, so answer once and stop
                     # rather than dropping the connection with no response.
-                    writer.write(
-                        json.dumps(
-                            {
-                                "ok": False,
-                                "error": "bad_request",
-                                "detail": f"request line too long: {exc}",
-                            }
-                        ).encode("utf-8")
-                        + b"\n"
+                    answer = asyncio.get_running_loop().create_future()
+                    answer.set_result(
+                        {
+                            "ok": False,
+                            "error": "bad_request",
+                            "detail": f"request line too long: {exc}",
+                        }
                     )
-                    await writer.drain()
-                    break
+                    answers.put_nowait(answer)
+                    return
                 if not line:
-                    break
-                response = await self._answer_line(line)
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._tcp_connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                    return
+                answers.put_nowait(asyncio.create_task(self._answer_line(line)))
+        except OSError:
+            pass  # the connection failed; writing its answers fails too
 
     async def _answer_line(self, line: bytes) -> Dict[str, object]:
         try:

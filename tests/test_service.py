@@ -6,13 +6,20 @@ bounded-queue backpressure contract (reject with retry-after, client shim
 retries), and the central determinism guarantee: decisions served through
 the batching path are identical to serial per-phase selection — the
 prediction tier against direct :class:`ConfigurationSelector` calls, the
-grid tier against a direct :meth:`Machine.execute_grid` launch.
+grid tier against a direct :meth:`Machine.execute_grid` launch.  The TCP
+classes pin the wire contract: pipelined lines share batches and are
+answered in request order, read-ahead stops at ``max_batch_size``, and end
+of input, an unframeable line, ``stop()`` and a client reset each leave
+every line read answered or its connection cleanly closed.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import socket
+import struct
 import threading
 import time
 
@@ -21,6 +28,7 @@ import pytest
 from repro.core import ConfigurationSelector
 from repro.machine import CONFIG_4, Machine, WorkRequest
 from repro.service import (
+    MAX_REQUEST_LINE_BYTES,
     AdaptationClient,
     AdaptationDecision,
     AdaptationServer,
@@ -501,6 +509,34 @@ class TestLifecycle:
         assert len(outcomes) == 3
         assert all(isinstance(o, RuntimeError) for o in outcomes)
         assert any("stopped before serving" in str(o) for o in outcomes)
+
+    def test_stop_inside_the_batch_window_fails_every_collected_request(self):
+        async def trial(yields):
+            batcher = MicroBatcher(
+                lambda requests: list(requests),
+                max_batch_size=8,
+                max_batch_window=1.0,
+            )
+            await batcher.start()
+            first = asyncio.create_task(batcher.submit("r0"))
+            await asyncio.sleep(0.05)  # r0 is off the queue, in its window
+            second = asyncio.create_task(batcher.submit("r1"))
+            # Let r1's arrival get that many steps along before stop().
+            for _ in range(yields):
+                await asyncio.sleep(0)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            await asyncio.wait_for(batcher.stop(), timeout=5.0)
+            stop_s = loop.time() - started
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(first, second, return_exceptions=True), timeout=5.0
+            )
+            return [type(outcome).__name__ for outcome in outcomes], stop_s
+
+        for yields in range(6):
+            outcomes, stop_s = asyncio.run(trial(yields))
+            assert outcomes == ["ServiceStoppedError"] * 2, yields
+            assert stop_s < 0.5, yields  # not the rest of the 1 s window
 
     def test_double_start_is_idempotent(self):
         async def main():
@@ -997,3 +1033,352 @@ class TestServeTcpDoubleBind:
             pytest.skip("loopback sockets unavailable in this environment")
         first, second, decision = outcome
         assert decision.client_id == "c5"
+
+
+class TestCancelledSubmissions:
+    def test_cancelled_submission_never_reaches_the_handler(self):
+        async def main():
+            handler = _BlockingHandler()
+            server = AdaptationServer(
+                handler, max_batch_size=1, max_batch_window=0.0
+            )
+            await server.start()
+            tasks = [
+                asyncio.create_task(server.submit(_request(i))) for i in range(3)
+            ]
+            await asyncio.sleep(0.1)  # c0 parks in the handler, c1/c2 queue
+            tasks[1].cancel()
+            handler.release.set()
+            served = await asyncio.gather(tasks[0], tasks[2])
+            decisions = server.metrics()["decisions"]
+            await server.stop()
+            return served, tasks[1].cancelled(), handler.batch_sizes, decisions
+
+        served, cancelled, sizes, decisions = asyncio.run(main())
+        assert [d.client_id for d in served] == ["c0", "c2"]
+        assert cancelled
+        assert sizes == [1, 1]  # c1 was dropped before dispatch
+        assert decisions == 2
+
+    def test_batch_whose_submitters_all_left_is_not_recorded(self):
+        async def main():
+            handler = _BlockingHandler()
+            server = AdaptationServer(
+                handler, max_batch_size=1, max_batch_window=0.0
+            )
+            await server.start()
+            left = asyncio.create_task(server.submit(_request(0)))
+            await asyncio.sleep(0.1)  # c0 parks in the handler
+            left.cancel()
+            handler.release.set()
+            served = await server.submit(_request(1))
+            metrics = server.metrics()
+            await server.stop()
+            return served, handler.batch_sizes, metrics
+
+        served, sizes, metrics = asyncio.run(main())
+        assert served.client_id == "c1"
+        assert sizes == [1, 1]  # c0 was already in the handler
+        assert metrics["batches"] == 1
+        assert metrics["decisions"] == 1
+        assert metrics["batch_size_histogram"] == {"1": 1}
+
+
+def _line(i):
+    """Request ``i`` as one line of the JSON-lines protocol."""
+    payload = dict(_request(i).to_payload(), kind="phase_sample")
+    return json.dumps(payload).encode() + b"\n"
+
+
+async def _next_line(reader):
+    return await asyncio.wait_for(reader.readline(), timeout=10.0)
+
+
+async def _answers(reader, count):
+    return [json.loads(await _next_line(reader)) for _ in range(count)]
+
+
+async def _answers_until_eof(reader):
+    """Every answer the server writes before it closes the connection."""
+    answers = []
+    while line := await _next_line(reader):
+        answers.append(json.loads(line))
+    return answers
+
+
+def _asyncio_errors(caplog):
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+
+
+class _GateHandler(_BlockingHandler):
+    """Blocking handler that also records each batch's size as it enters."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = []
+
+    def handle_batch(self, requests):
+        self.entered.append(len(requests))
+        return super().handle_batch(requests)
+
+
+class TestPipelinedTCP:
+    """A client may write lines ahead; the server answers them in order."""
+
+    def test_pipelined_lines_share_a_batch_and_answer_in_order(self):
+        async def main():
+            handler = _EchoHandler()
+            server = AdaptationServer(handler, max_batch_window=0.01)
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"".join(_line(i) for i in range(10)))
+                await writer.drain()
+                answers = await _answers(reader, 10)
+                writer.close()
+                await writer.wait_closed()
+                return answers, handler.batch_sizes
+            finally:
+                await server.stop()
+
+        outcome = asyncio.run(main())
+        if outcome is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        answers, sizes = outcome
+        assert [a["decision"]["client_id"] for a in answers] == [
+            f"c{i}" for i in range(10)
+        ]
+        assert max(sizes) > 1  # one connection's lines coalesced
+
+    def test_read_ahead_stops_at_max_batch_size(self):
+        async def main():
+            handler = _GateHandler()
+            server = AdaptationServer(
+                handler, max_batch_size=4, max_batch_window=0.01
+            )
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"".join(_line(i) for i in range(12)))
+                await writer.drain()
+
+                def held():
+                    return server.batcher.queue_depth() + sum(handler.entered)
+
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 5.0
+                while held() < 4 and loop.time() < deadline:
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.1)  # time to overrun the bound, if it could
+                before_release = held()
+                handler.release.set()
+                answers = await _answers(reader, 12)
+                writer.close()
+                await writer.wait_closed()
+                return before_release, answers
+            finally:
+                handler.release.set()
+                await server.stop()
+
+        outcome = asyncio.run(main())
+        if outcome is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        before_release, answers = outcome
+        assert before_release == 4
+        assert [a["decision"]["client_id"] for a in answers] == [
+            f"c{i}" for i in range(12)
+        ]
+
+    def test_half_close_answers_every_line_then_closes(self):
+        async def main():
+            server = AdaptationServer(_EchoHandler(), max_batch_window=0.01)
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"".join(_line(i) for i in range(5)))
+                writer.write_eof()
+                answers = await _answers_until_eof(reader)
+                writer.close()
+                await writer.wait_closed()
+                return answers
+            finally:
+                await server.stop()
+
+        answers = asyncio.run(main())
+        if answers is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        assert [a["decision"]["client_id"] for a in answers] == [
+            f"c{i}" for i in range(5)
+        ]
+
+    def test_unframeable_line_is_answered_after_the_lines_before_it(self):
+        async def main():
+            server = AdaptationServer(_EchoHandler(), max_batch_window=0.01)
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(
+                    b"".join(_line(i) for i in range(3))
+                    + b"x" * (3 * MAX_REQUEST_LINE_BYTES)
+                    + b"\n"
+                )
+                answers = await _answers_until_eof(reader)
+                writer.close()
+                await writer.wait_closed()
+                return answers
+            finally:
+                await server.stop()
+
+        answers = asyncio.run(main())
+        if answers is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        assert [a["decision"]["client_id"] for a in answers[:3]] == [
+            "c0",
+            "c1",
+            "c2",
+        ]
+        assert len(answers) == 4
+        assert answers[3]["error"] == "bad_request"
+        assert "too long" in answers[3]["detail"]
+
+    def test_stop_answers_every_pipelined_line_shutting_down(self):
+        async def main():
+            handler = _BlockingHandler()
+            server = AdaptationServer(
+                handler, max_batch_size=8, max_batch_window=0.0
+            )
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(_line(i) for i in range(5)))
+            await writer.drain()
+            await asyncio.sleep(0.1)  # all five are in the handler or queued
+            stop = asyncio.create_task(server.stop())
+            answers = await _answers_until_eof(reader)
+            handler.release.set()
+            await asyncio.wait_for(stop, timeout=10.0)
+            writer.close()
+            await writer.wait_closed()
+            return answers
+
+        answers = asyncio.run(main())
+        if answers is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        assert [a["error"] for a in answers] == ["shutting_down"] * 5
+
+    def test_stop_inside_the_batch_window_answers_shutting_down(self):
+        async def main():
+            handler = _EchoHandler()
+            server = AdaptationServer(handler, max_batch_window=1.0)
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"".join(_line(i) for i in range(3)))
+            await writer.drain()
+            # The batch is off the queue, collecting until the window ends.
+            await asyncio.sleep(0.05)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            await asyncio.wait_for(server.stop(), timeout=10.0)
+            stop_s = loop.time() - started
+            answers = await _answers_until_eof(reader)
+            writer.close()
+            await writer.wait_closed()
+            return answers, handler.batch_sizes, stop_s
+
+        outcome = asyncio.run(main())
+        if outcome is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        answers, sizes, stop_s = outcome
+        assert [a["error"] for a in answers] == ["shutting_down"] * 3
+        assert sizes == []  # the window never closed, so nothing was served
+        assert stop_s < 1.0
+
+    def test_client_reset_mid_pipeline_leaves_the_server_serving(self, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+
+        async def main():
+            handler = _BlockingHandler()
+            server = AdaptationServer(
+                handler, max_batch_size=8, max_batch_window=0.0
+            )
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            try:
+                _, writer = await asyncio.open_connection(host, port)
+                writer.write(b"".join(_line(i) for i in range(6)))
+                await writer.drain()
+                await asyncio.sleep(0.1)  # the lines are in the handler or queued
+                # A zero linger turns the close into a reset.
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                writer.transport.abort()
+                await asyncio.sleep(0.1)
+                handler.release.set()
+                async with TCPAdaptationClient(host, port) as client:
+                    return await asyncio.wait_for(
+                        client.request(_request(9)), timeout=10.0
+                    )
+            finally:
+                handler.release.set()
+                await server.stop()
+
+        decision = asyncio.run(main())
+        if decision is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        assert decision.client_id == "c9"
+        assert _asyncio_errors(caplog) == []
+
+    def test_stop_finishes_every_connection_task(self, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+
+        async def main():
+            server = AdaptationServer(_EchoHandler())
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            clients = [await asyncio.open_connection(host, port) for _ in range(3)]
+            await asyncio.sleep(0.05)  # the server has accepted all three
+            await asyncio.wait_for(server.stop(), timeout=10.0)
+            pending = [
+                task.get_coro().__qualname__
+                for task in asyncio.all_tasks()
+                if task is not asyncio.current_task()
+            ]
+            eofs = [await _next_line(reader) for reader, _ in clients]
+            for _, writer in clients:
+                writer.close()
+                await writer.wait_closed()
+            return pending, eofs
+
+        outcome = asyncio.run(main())
+        if outcome is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        pending, eofs = outcome
+        assert pending == []
+        assert eofs == [b""] * 3
+        assert _asyncio_errors(caplog) == []
