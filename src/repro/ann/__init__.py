@@ -5,6 +5,17 @@ feed-forward networks with sigmoid hidden units, backpropagation training
 with early stopping, and n-fold cross-validation ensembles whose outputs are
 averaged at prediction time.
 
+Training in lockstep
+--------------------
+:class:`BackpropTrainer` trains same-shaped networks together: their
+parameters stack into one ``(members, parameters)`` array and each
+mini-batch step is one batched matmul per layer, while every member keeps
+its own random stream, momentum and early stopping.  A member ends
+bit-identical to training it alone.  :func:`fit_ensembles` fits several
+ensembles at once, all their members in one lockstep call, as
+:func:`repro.core.train_ipc_predictor` does for its per-target ensembles;
+:meth:`CrossValidationEnsemble.fit` is its one-ensemble call.
+
 Batched prediction API
 ----------------------
 Every model exposes two prediction paths:
@@ -43,7 +54,7 @@ from .activations import (
     Tanh,
     get_activation,
 )
-from .ensemble import CrossValidationEnsemble, FoldResult
+from .ensemble import CrossValidationEnsemble, FoldResult, fit_ensembles
 from .exceptions import NotFittedError
 from .metrics import (
     error_cdf,
@@ -77,6 +88,7 @@ __all__ = [
     "TrainingConfig",
     "TrainingHistory",
     "error_cdf",
+    "fit_ensembles",
     "fraction_below",
     "get_activation",
     "mean_absolute_error",

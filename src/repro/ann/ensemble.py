@@ -13,7 +13,9 @@ per-fold generalization estimates, on top of
 :class:`~repro.ann.network.NeuralNetwork` and
 :class:`~repro.ann.training.BackpropTrainer`.  Input/target scaling is
 handled internally so callers work in natural units (event rates in, IPC
-out).
+out).  :func:`fit_ensembles` fits several ensembles in one call, training
+all their members in lockstep; :meth:`CrossValidationEnsemble.fit` is its
+one-ensemble call.
 """
 
 from __future__ import annotations
@@ -27,9 +29,15 @@ from .exceptions import NotFittedError
 from .metrics import mean_squared_error
 from .network import NeuralNetwork, require_batch_matrix
 from .scaling import StandardScaler
-from .training import BackpropTrainer, TrainingConfig, TrainingHistory
+from .training import (
+    BackpropTrainer,
+    TrainingConfig,
+    TrainingHistory,
+    _Member,
+    _train_lockstep,
+)
 
-__all__ = ["FoldResult", "CrossValidationEnsemble"]
+__all__ = ["FoldResult", "CrossValidationEnsemble", "fit_ensembles"]
 
 
 @dataclass
@@ -105,7 +113,15 @@ class CrossValidationEnsemble:
         return [np.array(sorted(chunk)) for chunk in np.array_split(order, self.folds)]
 
     def fit(self, inputs: np.ndarray, targets: np.ndarray) -> List[FoldResult]:
-        """Train the ensemble on (inputs, targets) and return per-fold results."""
+        """Train the ensemble on (inputs, targets) and return per-fold results.
+
+        The one-ensemble call of :func:`fit_ensembles`.
+        """
+        return fit_ensembles([self], [inputs], [targets])[0]
+
+    def _checked(
+        self, inputs: np.ndarray, targets: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
         inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
         targets = np.asarray(targets, dtype=float)
         if targets.ndim == 1:
@@ -117,6 +133,16 @@ class CrossValidationEnsemble:
                 f"need at least {self.folds} samples for {self.folds}-fold training, "
                 f"got {inputs.shape[0]}"
             )
+        return inputs, targets
+
+    def _fold_runs(
+        self, inputs: np.ndarray, targets: np.ndarray
+    ) -> List[Tuple[_Member, np.ndarray, np.ndarray]]:
+        """Fit the scalers and set up every fold's network and trainer.
+
+        Returns each fold's queued training run with its scaled holdout
+        inputs and targets.
+        """
         self._num_outputs = targets.shape[1]
         scaled_inputs = self.input_scaler.fit_transform(inputs)
         scaled_targets = self.target_scaler.fit_transform(targets)
@@ -126,7 +152,7 @@ class CrossValidationEnsemble:
         self.fold_results = []
         self._stacked = None
         layer_sizes = (inputs.shape[1], *self.hidden_layers, self._num_outputs)
-
+        runs = []
         for k in range(self.folds):
             holdout_idx = folds[k]
             stop_idx = folds[(k + 1) % self.folds]
@@ -135,21 +161,15 @@ class CrossValidationEnsemble:
             )
             network = NeuralNetwork(layer_sizes, seed=self.seed + 101 * (k + 1))
             trainer = BackpropTrainer(self.config, seed=self.seed + 977 * (k + 1))
-            history = trainer.train(
+            member = trainer._prepare(
                 network,
                 scaled_inputs[train_idx],
                 scaled_targets[train_idx],
                 validation_inputs=scaled_inputs[stop_idx],
                 validation_targets=scaled_targets[stop_idx],
             )
-            holdout_pred = network.predict(scaled_inputs[holdout_idx])
-            holdout_mse = mean_squared_error(scaled_targets[holdout_idx], holdout_pred)
-            self.members.append(network)
-            self.fold_results.append(
-                FoldResult(fold_index=k, history=history, holdout_mse=holdout_mse)
-            )
-        self.fit_generation += 1
-        return self.fold_results
+            runs.append((member, scaled_inputs[holdout_idx], scaled_targets[holdout_idx]))
+        return runs
 
     # ------------------------------------------------------------------
     # prediction
@@ -249,3 +269,48 @@ class CrossValidationEnsemble:
         if not self.fold_results:
             raise NotFittedError("ensemble must be fitted first")
         return float(np.mean([fr.holdout_mse for fr in self.fold_results]))
+
+
+def fit_ensembles(
+    ensembles: Sequence[CrossValidationEnsemble],
+    inputs: Sequence[np.ndarray],
+    targets: Sequence[np.ndarray],
+) -> List[List[FoldResult]]:
+    """Fit several ensembles at once, training all their members in lockstep.
+
+    Ensemble ``i`` is fitted on ``inputs[i]`` and ``targets[i]``.  Each one
+    gets its scalers, folds, initial networks and trainer seeds exactly as
+    a lone :meth:`CrossValidationEnsemble.fit` sets them up, so every member
+    ends with the parameters and history it would have there.  All members
+    of all ensembles then train in one lockstep call
+    (:mod:`repro.ann.training`): members that share the training config,
+    layer sizes and train/stop row counts form one stack, so a predictor's
+    per-target ensembles over one dataset train as a single stack (two when
+    the row count does not divide by the fold count).
+
+    Every fitted ensemble's cached prediction stack is dropped and its
+    ``fit_generation`` bumped, so prediction caches see the refit.  Returns
+    each ensemble's per-fold results, in order.
+    """
+    if not len(ensembles) == len(inputs) == len(targets):
+        raise ValueError(
+            "fit_ensembles needs one inputs and one targets array per ensemble"
+        )
+    if len({id(ensemble) for ensemble in ensembles}) != len(ensembles):
+        raise ValueError("fit_ensembles got the same ensemble twice")
+    checked = [
+        ensemble._checked(x, y) for ensemble, x, y in zip(ensembles, inputs, targets)
+    ]
+    runs = [ensemble._fold_runs(x, y) for ensemble, (x, y) in zip(ensembles, checked)]
+    histories = iter(
+        _train_lockstep([member for ensemble_runs in runs for member, _, _ in ensemble_runs])
+    )
+    for ensemble, ensemble_runs in zip(ensembles, runs):
+        for k, (member, holdout_x, holdout_y) in enumerate(ensemble_runs):
+            holdout_mse = mean_squared_error(holdout_y, member.network.predict(holdout_x))
+            ensemble.members.append(member.network)
+            ensemble.fold_results.append(
+                FoldResult(fold_index=k, history=next(histories), holdout_mse=holdout_mse)
+            )
+        ensemble.fit_generation += 1
+    return [ensemble.fold_results for ensemble in ensembles]

@@ -52,6 +52,60 @@ class LayerGradients:
     biases: np.ndarray
 
 
+def _feed_forward(
+    layers: Sequence[Tuple[np.ndarray, np.ndarray]],
+    inputs: np.ndarray,
+    hidden_activation: Activation,
+    output_activation: Activation,
+) -> List[np.ndarray]:
+    """Activations of every layer, input first, for one network or a stack.
+
+    ``layers`` holds each layer's ``(weights, biases)``.  One network has
+    ``(fan_in, fan_out)`` weights, ``(fan_out,)`` biases and a
+    ``(batch, features)`` input.  A stack of same-shaped networks adds a
+    leading members axis to all three (biases ``(members, 1, fan_out)``),
+    and each layer is then one batched matmul over the whole stack.
+    """
+    activations = [inputs]
+    last = len(layers) - 1
+    for layer, (weights, biases) in enumerate(layers):
+        pre = activations[-1] @ weights + biases
+        activation = output_activation if layer == last else hidden_activation
+        activations.append(activation.value(pre))
+    return activations
+
+
+def _backpropagate(
+    layers: Sequence[Tuple[np.ndarray, np.ndarray]],
+    activations: Sequence[np.ndarray],
+    targets: np.ndarray,
+    hidden_activation: Activation,
+    output_activation: Activation,
+) -> List[LayerGradients]:
+    """Batch-averaged mean-squared-error gradients of every layer.
+
+    Takes the shapes :func:`_feed_forward` takes, for one network or a
+    stack; a stack's gradients keep its leading members axis (bias
+    gradients ``(members, fan_out)``).
+    """
+    outputs = activations[-1]
+    # dL/dy for L = mean over batch of 0.5*(y-t)^2 summed over outputs.
+    delta = (outputs - targets) / outputs.shape[-2]
+    delta = delta * output_activation.derivative_from_output(outputs)
+    gradients: List[Optional[LayerGradients]] = [None] * len(layers)
+    for layer in range(len(layers) - 1, -1, -1):
+        gradients[layer] = LayerGradients(
+            weights=np.swapaxes(activations[layer], -1, -2) @ delta,
+            biases=delta.sum(axis=-2),
+        )
+        if layer > 0:
+            delta = delta @ np.swapaxes(layers[layer][0], -1, -2)
+            delta = delta * hidden_activation.derivative_from_output(
+                activations[layer]
+            )
+    return gradients  # type: ignore[return-value]
+
+
 class NeuralNetwork:
     """A fully connected feed-forward network.
 
@@ -131,11 +185,6 @@ class NeuralNetwork:
         """Total number of trainable parameters."""
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-    def _activation_for_layer(self, layer_index: int) -> Activation:
-        if layer_index == self.num_layers - 1:
-            return self.output_activation
-        return self.hidden_activation
-
     # ------------------------------------------------------------------
     # forward / backward
     # ------------------------------------------------------------------
@@ -150,12 +199,12 @@ class NeuralNetwork:
             raise ValueError(
                 f"expected {self.num_inputs} input features, got {x.shape[1]}"
             )
-        activations = [x]
-        for layer in range(self.num_layers):
-            pre = activations[-1] @ self.weights[layer] + self.biases[layer]
-            act = self._activation_for_layer(layer).value(pre)
-            activations.append(act)
-        return activations
+        return _feed_forward(
+            list(zip(self.weights, self.biases)),
+            x,
+            self.hidden_activation,
+            self.output_activation,
+        )
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Network output for ``inputs`` (shape preserved for single samples)."""
@@ -197,24 +246,13 @@ class NeuralNetwork:
             raise ValueError(
                 f"target shape {targets.shape} does not match output shape {outputs.shape}"
             )
-        batch = outputs.shape[0]
-        # dL/dy for L = mean over batch of 0.5*(y-t)^2 summed over outputs.
-        delta = (outputs - targets) / batch
-        delta = delta * self.output_activation.derivative_from_output(outputs)
-
-        gradients: List[Optional[LayerGradients]] = [None] * self.num_layers
-        for layer in range(self.num_layers - 1, -1, -1):
-            upstream = activations[layer]
-            gradients[layer] = LayerGradients(
-                weights=upstream.T @ delta,
-                biases=delta.sum(axis=0),
-            )
-            if layer > 0:
-                delta = delta @ self.weights[layer].T
-                delta = delta * self.hidden_activation.derivative_from_output(
-                    activations[layer]
-                )
-        return gradients  # type: ignore[return-value]
+        return _backpropagate(
+            list(zip(self.weights, self.biases)),
+            activations,
+            targets,
+            self.hidden_activation,
+            self.output_activation,
+        )
 
     # ------------------------------------------------------------------
     # parameter (de)serialization
@@ -225,14 +263,6 @@ class NeuralNetwork:
         for w, b in zip(self.weights, self.biases):
             parts.append(w.ravel())
             parts.append(b.ravel())
-        return np.concatenate(parts)
-
-    def gradients_to_vector(self, gradients: Sequence[LayerGradients]) -> np.ndarray:
-        """Flatten per-layer gradients into one vector (get_parameters layout)."""
-        parts = []
-        for grad in gradients:
-            parts.append(grad.weights.ravel())
-            parts.append(grad.biases.ravel())
         return np.concatenate(parts)
 
     def parameter_mask(self, weights_value: float = 1.0, biases_value: float = 0.0) -> np.ndarray:

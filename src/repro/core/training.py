@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ann.ensemble import CrossValidationEnsemble
+from ..ann.ensemble import CrossValidationEnsemble, fit_ensembles
 from ..ann.training import TrainingConfig
 from ..machine.dvfs import PStateTable
 from ..machine.machine import Machine
@@ -268,7 +268,12 @@ def train_ipc_predictor(
     dataset: PredictionDataset,
     options: Optional[ANNTrainingOptions] = None,
 ) -> IPCPredictor:
-    """Fit one cross-validation ANN ensemble per target configuration."""
+    """Fit one cross-validation ANN ensemble per target configuration.
+
+    All the ensembles are fitted in one :func:`~repro.ann.fit_ensembles`
+    call, so every member of every target's ensemble trains in one lockstep
+    loop; each ensemble ends exactly as its own ``fit`` would leave it.
+    """
     options = options or ANNTrainingOptions()
     if len(dataset) < options.folds:
         raise ValueError(
@@ -276,21 +281,25 @@ def train_ipc_predictor(
             "cross-validation was requested"
         )
     features = dataset.feature_matrix()
-    ensembles: Dict[str, CrossValidationEnsemble] = {}
-    for index, config_name in enumerate(dataset.target_configurations):
-        targets = dataset.target_vector(config_name)
-        ensemble = CrossValidationEnsemble(
+    names = list(dataset.target_configurations)
+    ensembles = [
+        CrossValidationEnsemble(
             hidden_layers=options.hidden_layers,
             folds=options.folds,
             config=options.training,
             seed=options.seed + 1000 * (index + 1),
         )
-        ensemble.fit(features, targets)
-        ensembles[config_name] = ensemble
+        for index in range(len(names))
+    ]
+    fit_ensembles(
+        ensembles,
+        [features] * len(names),
+        [dataset.target_vector(name) for name in names],
+    )
     return IPCPredictor.from_ensembles(
         event_set=dataset.event_set,
         sample_configuration=dataset.sample_configuration,
-        ensembles=ensembles,
+        ensembles=dict(zip(names, ensembles)),
         kind="ann",
     )
 

@@ -106,20 +106,30 @@ class MicroBatcher:
         )
 
     async def stop(self) -> None:
-        """Stop the scheduler; queued-but-unserved requests are rejected."""
+        """Stop the scheduler; queued-but-unserved requests are rejected.
+
+        A cancellation of the task running ``stop()`` (say, a ``wait_for``
+        timeout while the scheduler is slow to finish) still rejects the
+        queued requests, then propagates to the caller.
+        """
         scheduler, self._scheduler = self._scheduler, None
-        if scheduler is not None:
-            scheduler.cancel()
-            try:
-                await scheduler
-            except asyncio.CancelledError:
-                pass
-        queue, self._queue = self._queue, None
-        if queue is not None:
-            while not queue.empty():
-                _, future, _ = queue.get_nowait()
-                if not future.done():
-                    future.set_exception(ServiceStoppedError())
+        try:
+            if scheduler is not None:
+                scheduler.cancel()
+                try:
+                    await scheduler
+                except asyncio.CancelledError:
+                    # The scheduler's own cancellation is expected; one
+                    # aimed at this task is not.
+                    if asyncio.current_task().cancelling():
+                        raise
+        finally:
+            queue, self._queue = self._queue, None
+            if queue is not None:
+                while not queue.empty():
+                    _, future, _ = queue.get_nowait()
+                    if not future.done():
+                        future.set_exception(ServiceStoppedError())
 
     # ------------------------------------------------------------------
     # submission path

@@ -61,7 +61,12 @@ def parse_request_line(line: bytes) -> Request:
             f"request line of {len(line)} bytes exceeds the "
             f"{MAX_REQUEST_LINE_BYTES}-byte limit"
         )
-    payload = json.loads(line.decode("utf-8"))
+    try:
+        payload = json.loads(line.decode("utf-8"))
+    except RecursionError as exc:
+        # A deeply nested line (say 60,000 ``[``) fits the byte limit but
+        # exhausts the decoder's recursion depth.
+        raise ValueError("request line is nested too deeply to decode") from exc
     if not isinstance(payload, dict):
         raise ValueError(
             f"request must be a JSON object, got {type(payload).__name__}"

@@ -538,6 +538,40 @@ class TestLifecycle:
             assert outcomes == ["ServiceStoppedError"] * 2, yields
             assert stop_s < 0.5, yields  # not the rest of the 1 s window
 
+    def test_cancelled_stop_propagates_to_its_caller(self):
+        # A scheduler that takes 1 s to honour its cancellation: a
+        # wait_for timeout on stop() must raise, not wait it out and
+        # return None, and the queued request is still rejected.
+        class _SlowToCancel(MicroBatcher):
+            async def _run(self):
+                self.task = asyncio.current_task()
+                try:
+                    await asyncio.Event().wait()
+                except asyncio.CancelledError:
+                    await asyncio.sleep(1.0)
+                    raise
+
+        async def main():
+            batcher = _SlowToCancel(lambda requests: list(requests))
+            await batcher.start()
+            queued = asyncio.create_task(batcher.submit("r0"))
+            await asyncio.sleep(0.01)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(batcher.stop(), timeout=0.2)
+            elapsed = loop.time() - started
+            outcome = await asyncio.wait_for(
+                asyncio.gather(queued, return_exceptions=True), timeout=5.0
+            )
+            with pytest.raises(asyncio.CancelledError):
+                await batcher.task
+            return elapsed, outcome[0]
+
+        elapsed, outcome = asyncio.run(main())
+        assert elapsed < 0.8
+        assert isinstance(outcome, ServiceStoppedError)
+
     def test_double_start_is_idempotent(self):
         async def main():
             handler = _EchoHandler()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import re
 
 import pytest
@@ -70,6 +71,13 @@ class TestParseRequestLine:
         request = parse_request_line(json.dumps(payload).encode())
         assert isinstance(request, PhaseSampleRequest)
         assert request.ipc_sample == 1.2
+
+    def test_deeply_nested_line_raises_value_error(self):
+        # Inside the byte limit, but deep enough to exhaust json's recursion.
+        line = b"[" * 60000 + b"\n"
+        assert len(line) <= MAX_REQUEST_LINE_BYTES
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_request_line(line)
 
     def test_valid_requests_round_trip(self):
         sample = PhaseSampleRequest(
@@ -247,3 +255,51 @@ class TestNonFiniteNumbersOverTCP:
         assert second["ok"] is True
         assert second["decision"]["client_id"] == "good"
         assert [r.client_id for r in handler.seen] == ["good"]
+
+
+class TestDeeplyNestedLineOverTCP:
+    def test_nested_line_answers_bad_request_and_the_connection_serves_on(
+        self, caplog
+    ):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+
+        async def main():
+            server = AdaptationServer(_EchoHandler())
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"[" * 60000 + b"\n")
+                await writer.drain()
+                first = json.loads(
+                    await asyncio.wait_for(reader.readline(), timeout=10.0)
+                )
+                good = {"client_id": "good", "phase": "p", "ipc_sample": 1.0}
+                writer.write(json.dumps(good).encode() + b"\n")
+                await writer.drain()
+                second = json.loads(
+                    await asyncio.wait_for(reader.readline(), timeout=10.0)
+                )
+                writer.close()
+                await writer.wait_closed()
+                return first, second
+            finally:
+                await server.stop()
+
+        outcome = asyncio.run(main())
+        if outcome is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        first, second = outcome
+        assert first["ok"] is False
+        assert first["error"] == "bad_request"
+        assert "nested too deeply" in first["detail"]
+        assert second["ok"] is True
+        assert second["decision"]["client_id"] == "good"
+        errors = [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == []
