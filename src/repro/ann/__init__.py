@@ -18,23 +18,24 @@ ensembles at once, all their members in one lockstep call, as
 
 Batched prediction API
 ----------------------
-Every model exposes two prediction paths:
+Every model has one arithmetic prediction path, ``predict_batch(X)``: a
+strict ``(batch, features)`` matrix in, one batched result out.  The whole
+batch flows through each layer as a single NumPy matmul, and
+:meth:`CrossValidationEnsemble.predict_batch` runs the members' weights,
+stacked into ``(members, fan_in, fan_out)`` tensors, through the same
+forward function training uses, so the *entire ensemble* is evaluated with
+one batched matmul per layer — no Python loop over samples or members.
+``predict(x)`` is a shape adapter over it: a single feature vector is a
+one-row batch and gives a scalar (a 1-D output for multi-output models); a
+2-D batch gives what ``predict_batch`` gives.
 
-* ``predict(x)`` — the compatibility path: accepts a single feature vector
-  (returning a scalar / 1-D output) or a 2-D batch, exactly as before;
-* ``predict_batch(X)`` — the vectorized hot path: a strict
-  ``(batch, features)`` matrix in, one batched result out.  The whole batch
-  flows through each layer as a single NumPy matmul, and
-  :meth:`CrossValidationEnsemble.predict_batch` additionally stacks the
-  member networks' weights into ``(members, fan_in, fan_out)`` tensors so
-  the *entire ensemble* is evaluated with one batched matmul per layer —
-  no Python loop over samples or members.
-
+A row's prediction can differ in the last bits with the rows batched beside
+it, because BLAS picks its matmul kernel by batch shape:
 ``predict_batch(X)[i]`` equals ``predict(X[i])`` to within floating-point
 accumulation order (the property tests in ``tests/test_ann_batched.py``
-assert agreement to 1e-10).  Use ``predict_batch`` whenever more than a
-handful of feature vectors are pending — e.g. scoring all target
-configurations for all phases at once, as
+assert agreement to 1e-10), not bit for bit.  Use ``predict_batch``
+whenever more than a handful of feature vectors are pending — e.g. scoring
+all target configurations for all phases at once, as
 :meth:`repro.core.predictor.IPCPredictor.predict_batch` does::
 
     ensemble = CrossValidationEnsemble(folds=5)

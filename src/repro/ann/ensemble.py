@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import NotFittedError
 from .metrics import mean_squared_error
-from .network import NeuralNetwork, require_batch_matrix
+from .network import NeuralNetwork, _feed_forward, require_batch_matrix
 from .scaling import StandardScaler
 from .training import (
     BackpropTrainer,
@@ -194,49 +194,28 @@ class CrossValidationEnsemble:
             ]
         return self._stacked
 
-    def _member_outputs(self, scaled: np.ndarray) -> np.ndarray:
-        """Scaled outputs of every member: ``(members, batch, outputs)``."""
-        reference = self.members[0]
-        hidden = reference.hidden_activation
-        output_act = reference.output_activation
-        stacked = self._stacked_parameters()
-        act = scaled[None, :, :]  # broadcast the batch to every member
-        for layer, (weights, biases) in enumerate(stacked):
-            pre = act @ weights + biases
-            act = (
-                output_act.value(pre)
-                if layer == len(stacked) - 1
-                else hidden.value(pre)
-            )
-        return act
-
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """Averaged ensemble prediction in natural (unscaled) units."""
-        if not self.trained:
-            raise NotFittedError(
-                "CrossValidationEnsemble is not fitted; call fit(inputs, targets) "
-                "before predict"
-            )
+        """Averaged ensemble prediction in natural (unscaled) units.
+
+        A shape adapter over :meth:`predict_batch`: a 1-D feature vector is
+        predicted as a one-row batch and gives a scalar (one row of outputs
+        for multi-output ensembles); a 2-D batch gives what
+        :meth:`predict_batch` gives.
+        """
         inputs = np.asarray(inputs, dtype=float)
-        single = inputs.ndim == 1
-        batch = np.atleast_2d(inputs)
-        scaled = self.input_scaler.transform(batch)
-        stacked = np.stack([m.predict(scaled) for m in self.members], axis=0)
-        mean_scaled = stacked.mean(axis=0)
-        output = self.target_scaler.inverse_transform(mean_scaled)
-        if self._num_outputs == 1:
-            output = output.ravel()
-            return float(output[0]) if single else output
-        return output[0] if single else output
+        if inputs.ndim != 1:
+            return self.predict_batch(inputs)
+        output = self.predict_batch(inputs[None, :])
+        return float(output[0]) if self._num_outputs == 1 else output[0]
 
     def predict_batch(self, inputs: np.ndarray) -> np.ndarray:
         """Batched ensemble prediction: ``(batch, features)`` rows in one shot.
 
-        Uses the stacked member parameters so the whole ensemble evaluates
-        every row with one batched matmul per layer.  Returns a ``(batch,)``
-        vector for single-output ensembles, ``(batch, outputs)`` otherwise;
-        entry ``i`` equals ``predict(inputs[i])`` up to floating-point
-        accumulation order.
+        Every member evaluates every row through
+        :func:`~repro.ann.network._feed_forward` over the stacked member
+        parameters, one batched matmul per layer, and the members' scaled
+        outputs are averaged.  Returns a ``(batch,)`` vector for
+        single-output ensembles, ``(batch, outputs)`` otherwise.
         """
         if not self.trained:
             raise NotFittedError(
@@ -245,24 +224,15 @@ class CrossValidationEnsemble:
             )
         inputs = require_batch_matrix(inputs)
         scaled = self.input_scaler.transform(inputs)
-        mean_scaled = self._member_outputs(scaled).mean(axis=0)
-        output = self.target_scaler.inverse_transform(mean_scaled)
+        reference = self.members[0]
+        member_outputs = _feed_forward(
+            self._stacked_parameters(),
+            scaled[None],  # broadcast the batch to every member
+            reference.hidden_activation,
+            reference.output_activation,
+        )[-1]
+        output = self.target_scaler.inverse_transform(member_outputs.mean(axis=0))
         return output.ravel() if self._num_outputs == 1 else output
-
-    def predict_std(self, inputs: np.ndarray) -> np.ndarray:
-        """Standard deviation of member predictions (a confidence signal)."""
-        if not self.trained:
-            raise NotFittedError(
-                "CrossValidationEnsemble is not fitted; call fit(inputs, targets) "
-                "before predict_std"
-            )
-        batch = np.atleast_2d(np.asarray(inputs, dtype=float))
-        scaled = self.input_scaler.transform(batch)
-        stacked = np.stack([m.predict(scaled) for m in self.members], axis=0)
-        # Spread in scaled space converted back through the target scaler's std.
-        spread = stacked.std(axis=0)
-        std_unscaled = spread * self.target_scaler.std_
-        return std_unscaled.ravel() if self._num_outputs == 1 else std_unscaled
 
     def generalization_estimate(self) -> float:
         """Mean held-out-fold MSE (in scaled target units)."""

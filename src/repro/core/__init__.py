@@ -40,6 +40,7 @@ from .predictor import (
     NotFittedError,
     PredictionCache,
     PredictorBundle,
+    UnknownEventSetError,
 )
 from .sampler import PhaseSampler, SampleAggregate
 from .selector import (
@@ -93,6 +94,7 @@ __all__ = [
     "SearchPolicy",
     "StaticPolicy",
     "TrainingSample",
+    "UnknownEventSetError",
     "collect_training_dataset",
     "build_oracle_table",
     "measure_oracle",

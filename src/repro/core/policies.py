@@ -43,7 +43,7 @@ from ..openmp.runtime import PhaseDirective, PhaseObservation
 from ..workloads.base import Workload
 from .events import DEFAULT_SAMPLING_FRACTION, select_event_set
 from .oracle import OracleTable
-from .predictor import IPCPredictor, PredictorBundle
+from .predictor import IPCPredictor, PredictorBundle, UnknownEventSetError
 from .sampler import PhaseSampler
 from .selector import ConfigurationSelector, EnergyCostModel, RankedPrediction
 
@@ -126,12 +126,6 @@ class PredictionPolicy(AdaptationPolicy):
         Number of simultaneously measurable events.
     selector:
         Ranking/selection strategy (defaults to highest predicted IPC).
-    use_cache:
-        Route predictions through the bundle's quantized LRU cache
-        (:meth:`repro.core.predictor.PredictorBundle.predict_from_rates`),
-        so phases whose samples quantize to the same feature vector share
-        one model evaluation.  Off by default to keep the raw prediction
-        path bit-identical.
     """
 
     name = "prediction"
@@ -143,7 +137,6 @@ class PredictionPolicy(AdaptationPolicy):
         sampling_fraction: float = DEFAULT_SAMPLING_FRACTION,
         counter_registers: int = 2,
         selector: Optional[ConfigurationSelector] = None,
-        use_cache: bool = False,
     ) -> None:
         self.bundle = bundle
         self.sample_configuration = sample_configuration or configuration_by_name(
@@ -152,7 +145,6 @@ class PredictionPolicy(AdaptationPolicy):
         self.sampling_fraction = sampling_fraction
         self.counter_registers = counter_registers
         self.selector = selector or ConfigurationSelector()
-        self.use_cache = use_cache
         self._states: Dict[str, _PredictionPhaseState] = {}
         self._timesteps: int = 20
         if bundle.full.kind == "linear":
@@ -173,7 +165,7 @@ class PredictionPolicy(AdaptationPolicy):
             )
             try:
                 predictor = self.bundle.for_event_set(event_set.name)
-            except KeyError:
+            except UnknownEventSetError:
                 predictor = self.bundle.full
                 event_set = predictor.event_set
             self._states[key] = _PredictionPhaseState(
@@ -210,16 +202,9 @@ class PredictionPolicy(AdaptationPolicy):
         if not state.sampler.complete:
             return
         aggregate = state.sampler.aggregate()
-        if self.use_cache:
-            predictions = self.bundle.predict_from_rates(
-                aggregate.ipc_sample,
-                aggregate.rates,
-                event_set=state.predictor.event_set.name,
-            )
-        else:
-            predictions = state.predictor.predict_from_rates(
-                aggregate.ipc_sample, aggregate.rates
-            )
+        predictions = state.predictor.predict_from_rates(
+            aggregate.ipc_sample, aggregate.rates
+        )
         ranking = self.selector.rank(
             predictions,
             measured_sample=(self.sample_configuration.name, aggregate.ipc_sample),
@@ -315,7 +300,6 @@ class EnergyAwarePolicy(PredictionPolicy):
         sample_configuration: Optional[Configuration] = None,
         sampling_fraction: float = DEFAULT_SAMPLING_FRACTION,
         counter_registers: int = 2,
-        use_cache: bool = False,
     ) -> None:
         self.pstate_table = pstate_table or default_pstate_table()
         candidate_names = list(bundle.target_configurations)
@@ -342,7 +326,6 @@ class EnergyAwarePolicy(PredictionPolicy):
             sampling_fraction=sampling_fraction,
             counter_registers=counter_registers,
             selector=selector,
-            use_cache=use_cache,
         )
         self.objective = objective
         self.cost_model = cost_model

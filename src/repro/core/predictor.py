@@ -13,10 +13,12 @@ variant with the identical interface backs the paper's prior-work baseline
 [Curtis-Maury et al., ICS'06]; both are interchangeable inside the
 prediction-based policy.
 
-Every model exposes the batched hot path ``predict_batch``: a
+Every model has one prediction path, ``predict_batch``: a
 ``(batch, features)`` matrix in, one vector of predictions per target
 configuration out, so a single call scores *all* target configurations for
-*all* pending phases.  :class:`PredictorBundle` adds an LRU cache keyed on
+*all* pending phases.  A one-sample prediction is a one-row batch
+(:meth:`IPCPredictor.predict_from_rates`, which the per-phase policy and
+the figures call).  :class:`PredictorBundle` adds an LRU cache keyed on
 quantized counter rates in front of that path — repeated phases with
 near-identical samples skip model evaluation entirely.
 """
@@ -43,7 +45,20 @@ __all__ = [
     "NotFittedError",
     "PredictionCache",
     "CacheInfo",
+    "UnknownEventSetError",
 ]
+
+
+class UnknownEventSetError(KeyError):
+    """A bundle was asked for an event set it has no predictor for.
+
+    A :class:`KeyError` for callers that look members up by name, and its
+    own type so the adaptation service can answer such a request as a bad
+    request without failing the requests batched with it.
+    """
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
 
 
 class ConfigurationModel:
@@ -55,19 +70,12 @@ class ConfigurationModel:
     #: that never refit may leave this at 0).
     fit_generation: int = 0
 
-    def predict_one(self, features: np.ndarray) -> float:
-        """Predict the IPC for one feature vector."""
-        raise NotImplementedError
-
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         """Predict the IPC of every row of a ``(batch, features)`` matrix.
 
-        The base implementation falls back to a Python loop over
-        :meth:`predict_one` so custom models remain correct; the built-in
-        models override it with fully vectorized paths.
+        The only prediction method: one sample is a one-row batch.
         """
-        features = require_batch_matrix(features)
-        return np.array([self.predict_one(row) for row in features])
+        raise NotImplementedError
 
 
 @dataclass
@@ -97,18 +105,6 @@ class LinearIPCModel(ConfigurationModel):
         self.fit_generation += 1
         return self
 
-    def _require_fitted(self, method: str) -> None:
-        if self.coefficients is None:
-            raise NotFittedError(
-                f"LinearIPCModel is not fitted; call fit(features, targets) "
-                f"before {method}"
-            )
-
-    def predict_one(self, features: np.ndarray) -> float:
-        self._require_fitted("predict_one")
-        features = np.asarray(features, dtype=float).ravel()
-        return float(self.intercept + (features * self.coefficients).sum())
-
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         """Vectorized prediction over all rows in one pass.
 
@@ -118,10 +114,13 @@ class LinearIPCModel(ConfigurationModel):
         predictions (and hence adaptation decisions) depend on batch
         composition at the last ulp.  The axis reduction's order depends
         only on the feature count, so every row is bit-identical whether
-        predicted alone or inside any batch — and matches
-        :meth:`predict_one`.
+        predicted alone or inside any batch.
         """
-        self._require_fitted("predict_batch")
+        if self.coefficients is None:
+            raise NotFittedError(
+                "LinearIPCModel is not fitted; call fit(features, targets) "
+                "before predict_batch"
+            )
         features = require_batch_matrix(features)
         return self.intercept + (features * self.coefficients).sum(axis=1)
 
@@ -148,9 +147,6 @@ class FrequencyRatioModel(ConfigurationModel):
             getattr(self.ratio, "fit_generation", 0)
         )
 
-    def predict_one(self, features: np.ndarray) -> float:
-        return float(self.base.predict_one(features) * self.ratio.predict_one(features))
-
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         features = require_batch_matrix(features)
         base = np.asarray(self.base.predict_batch(features), dtype=float)
@@ -167,9 +163,6 @@ class _EnsembleModel(ConfigurationModel):
     @property
     def fit_generation(self) -> int:
         return self.ensemble.fit_generation
-
-    def predict_one(self, features: np.ndarray) -> float:
-        return float(self.ensemble.predict(np.asarray(features, dtype=float)))
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         # the ensemble itself enforces the 2-D contract
@@ -246,15 +239,6 @@ class IPCPredictor:
             values.append(float(rates.get(event, 0.0)))
         return np.array(values, dtype=float)
 
-    def predict(self, features: np.ndarray) -> Dict[str, float]:
-        """Predict the IPC of every target configuration for one sample."""
-        features = np.asarray(features, dtype=float).ravel()
-        if features.size != self.event_set.num_features:
-            raise ValueError(
-                f"expected {self.event_set.num_features} features, got {features.size}"
-            )
-        return {name: model.predict_one(features) for name, model in self.models.items()}
-
     def predict_batch(self, features: np.ndarray) -> Dict[str, np.ndarray]:
         """Score every target configuration for every pending feature row.
 
@@ -268,8 +252,11 @@ class IPCPredictor:
         -------
         dict
             Configuration name to ``(batch,)`` vector of predicted IPCs.
-            ``predict_batch(F)[cfg][i]`` equals ``predict(F[i])[cfg]`` up to
-            floating-point accumulation order.
+            An ANN row's prediction can differ in the last bits with the
+            rows batched beside it (BLAS picks its kernel by batch shape),
+            so ``predict_batch(F)[cfg][i]`` equals the one-row
+            ``predict_batch(F[i:i+1])[cfg][0]`` only up to floating-point
+            accumulation order; linear models are bit-identical either way.
         """
         features = require_batch_matrix(features)
         if features.shape[1] != self.event_set.num_features:
@@ -284,8 +271,9 @@ class IPCPredictor:
     def predict_from_rates(
         self, ipc_sample: float, rates: Mapping[str, float]
     ) -> Dict[str, float]:
-        """Predict per-configuration IPCs directly from sampled quantities."""
-        return self.predict(self.feature_vector(ipc_sample, rates))
+        """Predict per-configuration IPCs for one sample, as a one-row batch."""
+        batched = self.predict_batch(self.feature_vector(ipc_sample, rates)[None, :])
+        return {name: float(column[0]) for name, column in batched.items()}
 
 
 @dataclass(frozen=True)
@@ -407,14 +395,13 @@ class PredictorBundle:
     right member per phase via :meth:`for_event_set`.
 
     The bundle also fronts both members with a shared
-    :class:`PredictionCache`: :meth:`predict_from_rates` and
-    :meth:`predict_batch_from_rates` quantize the sampled rates, serve
-    repeats from the cache, and evaluate only the distinct misses — the
-    batched variant scores all missing rows for all target configurations
-    in a single :meth:`IPCPredictor.predict_batch` call.
+    :class:`PredictionCache`: :meth:`predict_batch_from_rates` quantizes
+    the sampled rates, serves repeats from the cache, and scores all the
+    distinct misses for all target configurations in a single
+    :meth:`IPCPredictor.predict_batch` call.
 
-    Cached entries are only valid for the models that produced them: both
-    cached paths fingerprint the members' fit generations and drop the
+    Cached entries are only valid for the models that produced them: the
+    cached path fingerprints the members' fit generations and drops the
     whole cache when any underlying model has been refit since the entries
     were stored (see :meth:`IPCPredictor.fit_fingerprint`).
     """
@@ -432,7 +419,7 @@ class PredictorBundle:
             return self.full
         if self.reduced is not None and name == self.reduced.event_set.name:
             return self.reduced
-        raise KeyError(f"no predictor available for event set {name!r}")
+        raise UnknownEventSetError(f"no predictor available for event set {name!r}")
 
     @property
     def sample_configuration(self) -> str:
@@ -445,7 +432,7 @@ class PredictorBundle:
         return self.full.target_configurations
 
     # ------------------------------------------------------------------
-    # cached prediction paths
+    # cached prediction path
     # ------------------------------------------------------------------
     def _resolve(self, event_set: Optional[str]) -> IPCPredictor:
         return self.full if event_set is None else self.for_event_set(event_set)
@@ -463,31 +450,6 @@ class PredictorBundle:
             if self._cache_fingerprint is not None and len(self.cache):
                 self.cache.clear()
             self._cache_fingerprint = fingerprint
-
-    def predict_from_rates(
-        self,
-        ipc_sample: float,
-        rates: Mapping[str, float],
-        event_set: Optional[str] = None,
-    ) -> Dict[str, float]:
-        """Cached per-configuration prediction from one sampled phase.
-
-        The feature vector is quantized (see :class:`PredictionCache`), so
-        repeated samples of the same phase hit the cache; predictions are
-        computed from the quantized values so the cached entry is identical
-        no matter which raw sample populated it first.
-        """
-        predictor = self._resolve(event_set)
-        self._ensure_cache_valid()
-        events = predictor.event_set.events
-        key = self.cache.key(predictor.event_set.name, ipc_sample, rates, events)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        _, q_ipc, q_rates = key
-        predictions = predictor.predict_from_rates(q_ipc, dict(zip(events, q_rates)))
-        self.cache.put(key, predictions)
-        return dict(predictions)
 
     def predict_batch_from_rates(
         self,
@@ -507,7 +469,11 @@ class PredictorBundle:
             Per-sample predictions, in input order.  Cache hits (including
             duplicates within the batch) are served without model
             evaluation; all remaining distinct rows go through one batched
-            forward pass.
+            forward pass.  Rows are scored from their quantized values
+            (see :class:`PredictionCache`), so an entry does not depend on
+            which raw sample filled it; it can depend in the last bits on
+            the other misses scored in the same pass (see
+            :meth:`IPCPredictor.predict_batch`).
         """
         predictor = self._resolve(event_set)
         self._ensure_cache_valid()

@@ -353,8 +353,8 @@ class RunCell:
         Name of the NAS-like benchmark to run (e.g. ``"SP"``).
     policy:
         Policy spec: ``"static-<config>"`` (e.g. ``static-4``),
-        ``"search"``, ``"prediction"`` / ``"prediction-cached"`` (require a
-        bundle), ``"energy-<objective>"`` (e.g. ``energy-ed2``; requires a
+        ``"search"``, ``"prediction"`` (requires a bundle),
+        ``"energy-<objective>"`` (e.g. ``energy-ed2``; requires a
         DVFS-trained bundle), or any key registered in
         :data:`POLICY_BUILDERS`.
     seed:
@@ -379,13 +379,13 @@ def build_cell_policy(
         return StaticPolicy(configuration_by_name(spec[len("static-"):]))
     if spec == "search":
         return SearchPolicy()
-    if spec in ("prediction", "prediction-cached"):
+    if spec == "prediction":
         if bundle is None:
             raise ValueError(
                 f"policy spec {spec!r} needs a trained PredictorBundle; "
                 "pass one via run_cells(..., bundle=...)"
             )
-        return PredictionPolicy(bundle, use_cache=spec == "prediction-cached")
+        return PredictionPolicy(bundle)
     if spec.startswith("energy-"):
         if bundle is None:
             raise ValueError(
@@ -401,7 +401,7 @@ def build_cell_policy(
         return EnergyAwarePolicy(bundle, objective=spec[len("energy-"):])
     raise KeyError(
         f"unknown policy spec {spec!r}; expected static-<config>, search, "
-        f"prediction[-cached], energy-<objective> or a POLICY_BUILDERS key"
+        f"prediction, energy-<objective> or a POLICY_BUILDERS key"
     )
 
 

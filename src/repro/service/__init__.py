@@ -33,10 +33,11 @@ serve a fleet of adapting applications:
   backpressure) and the closed-loop synthetic load generator used by the
   service benchmark.
 
-Batched decisions are identical to serial per-phase selection on the same
-inputs: the handlers reuse the exact quantized-cache prediction path and
+Batched decisions select what serial per-phase selection selects on the
+same inputs: the handlers reuse the quantized-cache prediction path and
 :class:`~repro.core.selector.ConfigurationSelector` ranking the in-process
-policies run, so batching is purely a throughput feature.
+policies run.  A served prediction can differ from a one-sample prediction
+in the last bits, with the rows that shared its forward pass.
 """
 
 from .batcher import MicroBatcher

@@ -46,7 +46,9 @@ class MicroBatcher:
     ----------
     handle_batch:
         Callable mapping a list of requests to a list of responses of the
-        same length, in input order.
+        same length, in input order.  A response that is an exception
+        instance fails its own request with that exception and is not
+        counted as a decision; the other requests are still resolved.
     max_batch_size:
         Dispatch as soon as this many requests are coalesced.
     max_batch_window:
@@ -246,9 +248,13 @@ class MicroBatcher:
         now = time.perf_counter()
         latencies = []
         for (_, future, submitted), response in zip(batch, responses):
-            if not future.done():  # not cancelled while the handler ran
-                future.set_result(response)
-                latencies.append(now - submitted)
+            if future.done():  # cancelled while the handler ran
+                continue
+            if isinstance(response, Exception):
+                future.set_exception(response)
+                continue
+            future.set_result(response)
+            latencies.append(now - submitted)
         if latencies:
             self.metrics.record_batch(len(latencies), latencies)
 

@@ -11,8 +11,11 @@ call is the entire point of micro-batching:
   cache and one :meth:`~repro.core.predictor.IPCPredictor.predict_batch`
   forward pass, then ranks each row with the exact
   :class:`~repro.core.selector.ConfigurationSelector` the in-process
-  policies use — so batched decisions are identical to serial per-phase
-  selection on the same inputs.
+  policies use.  Batched decisions select what serial per-phase selection
+  selects on the same inputs; a predicted IPC can differ from a one-row
+  prediction in the last bits, with the rows that shared its forward pass.
+  A request naming an event set the bundle lacks fails alone (see
+  :meth:`DecisionHandler.handle_batch`).
 * :class:`GridHandler` — the fingerprint path.  Requests carry full
   :class:`~repro.machine.work.WorkRequest` characterizations; the handler
   evaluates the whole batch against the candidate space in one shared,
@@ -24,10 +27,10 @@ call is the entire point of micro-batching:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..core.selector import ConfigurationSelector
-from ..core.predictor import PredictorBundle
+from ..core.predictor import PredictorBundle, UnknownEventSetError
 from ..machine.machine import Machine
 from ..machine.placement import Configuration, standard_configurations
 from ..store.memo_store import MemoStore
@@ -50,8 +53,16 @@ _GRID_OBJECTIVES: Dict[str, tuple] = {
 class DecisionHandler:
     """Interface of a batch decision handler."""
 
-    def handle_batch(self, requests: Sequence) -> List[AdaptationDecision]:
-        """Answer every request of one coalesced batch, in input order."""
+    def handle_batch(
+        self, requests: Sequence
+    ) -> List[Union[AdaptationDecision, Exception]]:
+        """Answer every request of one coalesced batch, in input order.
+
+        One slot per request.  A slot holding an exception instance fails
+        that request alone with that exception, and the batch's other
+        requests are still answered; an exception raised out of
+        ``handle_batch`` fails the whole batch.
+        """
         raise NotImplementedError
 
     def cache_info(self) -> Dict[str, Dict[str, float]]:
@@ -86,8 +97,8 @@ class PredictionHandler(DecisionHandler):
 
     def handle_batch(
         self, requests: Sequence[PhaseSampleRequest]
-    ) -> List[AdaptationDecision]:
-        decisions: List[Optional[AdaptationDecision]] = [None] * len(requests)
+    ) -> List[Union[AdaptationDecision, Exception]]:
+        decisions: List[object] = [None] * len(requests)
         # One predict_batch per event set present in the batch (almost
         # always exactly one); rows keep their input positions.
         groups: Dict[Optional[str], List[int]] = {}
@@ -97,7 +108,15 @@ class PredictionHandler(DecisionHandler):
             samples = [
                 (requests[i].ipc_sample, requests[i].rates_dict()) for i in indices
             ]
-            rows = self.bundle.predict_batch_from_rates(samples, event_set=event_set)
+            try:
+                rows = self.bundle.predict_batch_from_rates(
+                    samples, event_set=event_set
+                )
+            except UnknownEventSetError as exc:
+                # Fails this group's requests only, not the batch.
+                for i in indices:
+                    decisions[i] = exc
+                continue
             for i, predictions in zip(indices, rows):
                 request = requests[i]
                 measured = (self.bundle.sample_configuration, request.ipc_sample)

@@ -27,6 +27,7 @@ import logging
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..cluster.scheduler import PowerCapInfeasibleError
+from ..core.predictor import UnknownEventSetError
 from .batcher import MicroBatcher
 from .handlers import DecisionHandler
 from .messages import (
@@ -110,9 +111,10 @@ class AdaptationServer:
       service stopped before this request was served (non-retriable
       against this endpoint);
     * ``{"ok": false, "error": "bad_request", "detail": ...}`` — the line
-      did not parse into a request.  A line too long to frame is answered
-      after the answers to the lines before it, and the connection then
-      closes;
+      did not parse into a request, or it names an event set the handler's
+      bundle has no predictor for (the requests batched with it are still
+      served).  A line too long to frame is answered after the answers to
+      the lines before it, and the connection then closes;
     * ``{"ok": false, "error": "power_cap_infeasible", "cap_watts": w,
       "min_feasible_watts": w}`` — a fleet handler's power cap is below the
       minimum draw of this request's batch (non-retriable while the cap
@@ -347,6 +349,8 @@ class AdaptationServer:
             }
         except ServiceStoppedError as exc:
             return {"ok": False, "error": "shutting_down", "detail": str(exc)}
+        except UnknownEventSetError as exc:
+            return {"ok": False, "error": "bad_request", "detail": str(exc)}
         except PowerCapInfeasibleError as exc:
             logger.warning("fleet schedule rejected: %s", exc)
             return {

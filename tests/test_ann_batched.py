@@ -1,10 +1,11 @@
 """Property-based equivalence tests for the batched prediction engine.
 
-The batched paths (``predict_batch``) must agree with the per-sample paths
-(``predict`` / ``predict_one``) to 1e-10 for every model — network, ensemble
-and linear baseline — across dtypes and batch sizes 1 / 7 / 256.  Hypothesis
-drives randomized feature matrices; the models themselves are trained once
-per module on seeded data so the properties run fast.
+The batched paths (``predict_batch``) must agree with one-sample predictions
+(``predict``, or a one-row ``predict_batch`` for the linear baseline) to
+1e-10 for every model — network, ensemble and linear baseline — across
+dtypes and batch sizes 1 / 7 / 256.  Hypothesis drives randomized feature
+matrices; the models themselves are trained once per module on seeded data
+so the properties run fast.
 """
 
 from __future__ import annotations
@@ -28,6 +29,17 @@ ATOL = 1e-10
 def _random_batch(draw_seed: int, batch: int, dtype) -> np.ndarray:
     rng = np.random.default_rng(draw_seed)
     return rng.normal(0.0, 2.0, size=(batch, N_FEATURES)).astype(dtype)
+
+
+def _per_member_reference(ensemble, inputs: np.ndarray) -> np.ndarray:
+    """Each member network's own ``predict``, averaged and unscaled.
+
+    Independent of the stacked forward pass ``predict_batch`` runs, so it
+    checks that the member parameters were stacked and evaluated right.
+    """
+    scaled = ensemble.input_scaler.transform(np.atleast_2d(inputs))
+    mean = np.mean([member.predict(scaled) for member in ensemble.members], axis=0)
+    return ensemble.target_scaler.inverse_transform(mean).ravel()
 
 
 @pytest.fixture(scope="module")
@@ -95,14 +107,19 @@ class TestEnsembleBatched:
             single = fitted_ensemble.predict(inputs[i])
             np.testing.assert_allclose(batched[i], single, atol=ATOL, rtol=0.0)
 
-    def test_batch_matches_legacy_2d_predict(self, fitted_ensemble):
+    def test_batch_matches_per_member_reference(self, fitted_ensemble):
         inputs = _random_batch(99, 64, np.float64)
+        reference = _per_member_reference(fitted_ensemble, inputs)
         np.testing.assert_allclose(
-            fitted_ensemble.predict_batch(inputs),
-            fitted_ensemble.predict(inputs),
-            atol=ATOL,
-            rtol=0.0,
+            fitted_ensemble.predict_batch(inputs), reference, atol=ATOL, rtol=0.0
         )
+        np.testing.assert_allclose(
+            fitted_ensemble.predict(inputs), reference, atol=ATOL, rtol=0.0
+        )
+        for i in range(3):
+            np.testing.assert_allclose(
+                fitted_ensemble.predict(inputs[i]), reference[i], atol=ATOL, rtol=0.0
+            )
 
     def test_stacked_parameters_invalidated_by_refit(self, fitted_ensemble):
         rng = np.random.default_rng(12)
@@ -119,10 +136,16 @@ class TestEnsembleBatched:
         ensemble.fit(x, -y)  # retrain on a different target
         after = ensemble.predict_batch(x[:3])
         assert not np.allclose(before, after)
-        # And the refreshed stack still matches the per-sample path.
+        # And the refreshed stack matches the refit members themselves.
+        np.testing.assert_allclose(
+            after, _per_member_reference(ensemble, x[:3]), atol=ATOL, rtol=0.0
+        )
         for i in range(3):
             np.testing.assert_allclose(
-                after[i], ensemble.predict(x[i]), atol=ATOL, rtol=0.0
+                ensemble.predict(x[i]),
+                _per_member_reference(ensemble, x[i])[0],
+                atol=ATOL,
+                rtol=0.0,
             )
 
     def test_unfitted_raises_not_fitted_error(self):
@@ -148,23 +171,13 @@ class TestLinearBatched:
         assert batched.shape == (batch,)
         for i in range(batch):
             np.testing.assert_allclose(
-                batched[i], fitted_linear.predict_one(inputs[i]), atol=ATOL, rtol=0.0
+                batched[i],
+                fitted_linear.predict_batch(inputs[i : i + 1])[0],
+                atol=ATOL,
+                rtol=0.0,
             )
 
     def test_rejects_non_2d_input_like_the_ann_paths(self, fitted_linear):
         """The interchangeable model kinds enforce the same strict contract."""
         with pytest.raises(ValueError):
             fitted_linear.predict_batch(np.zeros(N_FEATURES))
-
-    def test_default_predict_batch_falls_back_to_loop(self, fitted_linear):
-        """The ConfigurationModel base class loops over predict_one."""
-        from repro.core import ConfigurationModel
-
-        class OffsetModel(ConfigurationModel):
-            def predict_one(self, features):
-                return float(features[0]) + 1.0
-
-        inputs = _random_batch(5, 7, np.float64)
-        np.testing.assert_allclose(
-            OffsetModel().predict_batch(inputs), inputs[:, 0] + 1.0
-        )

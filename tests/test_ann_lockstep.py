@@ -377,8 +377,8 @@ class TestJointRefit:
         bundle = PredictorBundle(full=predictor, cache=PredictionCache(capacity=8))
         ipc = float(features[0, 0])
         rates = dict(zip(event_set.events, features[0, 1:]))
-        stale = bundle.predict_from_rates(ipc, rates)
-        assert bundle.predict_from_rates(ipc, rates) == stale
+        stale = bundle.predict_batch_from_rates([(ipc, rates)])[0]
+        assert bundle.predict_batch_from_rates([(ipc, rates)])[0] == stale
         assert (bundle.cache_info().hits, bundle.cache_info().misses) == (1, 1)
 
         fit_ensembles(
@@ -388,7 +388,7 @@ class TestJointRefit:
         )
         assert [e.fit_generation for e in ensembles] == [2, 2, 2]
         assert all(e._stacked is None for e in ensembles)
-        fresh = bundle.predict_from_rates(ipc, rates)
+        fresh = bundle.predict_batch_from_rates([(ipc, rates)])[0]
         # The refit dropped the cache, counters included: one fresh miss.
         assert (bundle.cache_info().hits, bundle.cache_info().misses) == (0, 1)
         for name in names:

@@ -139,7 +139,6 @@ class TestCrossValidationEnsemble:
         ensemble.fit(x, y)
         assert np.isscalar(ensemble.predict(x[0]))
         assert ensemble.predict(x[:7]).shape == (7,)
-        assert ensemble.predict_std(x[:7]).shape == (7,)
 
     def test_predict_before_fit_raises(self):
         ensemble = CrossValidationEnsemble(folds=3)

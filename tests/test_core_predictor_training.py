@@ -27,11 +27,11 @@ class TestLinearIPCModel:
         assert model.intercept == pytest.approx(2.0, abs=1e-8)
         for i, expected in enumerate([0.5, -1.0, 0.25]):
             assert model.coefficients[i] == pytest.approx(expected, abs=1e-8)
-        assert model.predict_one(features[0]) == pytest.approx(targets[0], abs=1e-8)
+        assert model.predict_batch(features[:1])[0] == pytest.approx(targets[0], abs=1e-8)
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
-            LinearIPCModel().predict_one(np.zeros(3))
+            LinearIPCModel().predict_batch(np.zeros((1, 3)))
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ class TestPredictorTraining:
 
     def test_wrong_feature_count_rejected(self, trained_bundle):
         with pytest.raises(ValueError):
-            trained_bundle.full.predict(np.zeros(5))
+            trained_bundle.full.predict_batch(np.zeros((1, 5)))
 
     def test_linear_predictor_trains_and_predicts(self, machine, mini_training_workloads):
         dataset = collect_training_dataset(
@@ -135,7 +135,7 @@ class TestPredictorTraining:
         predictor = train_linear_predictor(dataset)
         assert predictor.kind == "linear"
         sample = dataset.samples[0]
-        predictions = predictor.predict(np.array(sample.features))
+        predictions = predictor.predict_batch(np.array([sample.features]))
         assert set(predictions) == set(dataset.target_configurations)
 
     def test_training_requires_enough_samples_for_folds(

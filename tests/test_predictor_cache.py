@@ -18,10 +18,9 @@ from repro.core import (
     LinearIPCModel,
     NotFittedError,
     PredictionCache,
-    PredictionPolicy,
     PredictorBundle,
 )
-from repro.machine import CONFIG_4, Machine
+from repro.machine import CONFIG_4
 
 
 def _sample_for(machine, predictor, phase):
@@ -32,6 +31,11 @@ def _sample_for(machine, predictor, phase):
         for event in predictor.event_set.events
     }
     return result.ipc, rates
+
+
+def _cached(bundle, ipc, rates, event_set=None):
+    """One sample through the bundle's cached path, as a one-row batch."""
+    return bundle.predict_batch_from_rates([(ipc, rates)], event_set=event_set)[0]
 
 
 @pytest.fixture()
@@ -74,8 +78,8 @@ class TestRefitInvalidation:
         bundle = self._linear_bundle(trained_bundle, machine, suite)
         phase = suite.get("SP").phases[0]
         ipc, rates = _sample_for(machine, bundle.full, phase)
-        stale = bundle.predict_from_rates(ipc, rates)
-        assert bundle.predict_from_rates(ipc, rates) == stale
+        stale = _cached(bundle, ipc, rates)
+        assert _cached(bundle, ipc, rates) == stale
         assert bundle.cache_info().hits == 1
 
         # Refit one underlying model with different targets: the cached
@@ -83,7 +87,7 @@ class TestRefitInvalidation:
         rng = np.random.default_rng(9)
         features = rng.uniform(0.1, 2.0, size=(32, bundle.full.event_set.num_features))
         bundle.full.models["2b"].fit(features, features[:, 1] * 40.0 + 5.0)
-        fresh = bundle.predict_from_rates(ipc, rates)
+        fresh = _cached(bundle, ipc, rates)
         assert fresh["2b"] != pytest.approx(stale["2b"])
         assert fresh["2b"] == pytest.approx(
             bundle.full.predict_from_rates(*_quantized(bundle, ipc, rates))["2b"]
@@ -115,13 +119,13 @@ class TestRefitInvalidation:
         bundle = self._linear_bundle(trained_bundle, machine, suite)
         phase = suite.get("SP").phases[0]
         ipc, rates = _sample_for(machine, bundle.full, phase)
-        stale = bundle.predict_from_rates(ipc, rates)
+        stale = _cached(bundle, ipc, rates)
         rng = np.random.default_rng(21)
         features = rng.uniform(0.1, 2.0, size=(32, bundle.full.event_set.num_features))
         replacement = LinearIPCModel().fit(features, features[:, 3] * 11.0)
         assert replacement.fit_generation == bundle.full.models["2a"].fit_generation
         bundle.full.models["2a"] = replacement
-        fresh = bundle.predict_from_rates(ipc, rates)
+        fresh = _cached(bundle, ipc, rates)
         assert fresh["2a"] != pytest.approx(stale["2a"])
 
     def test_fit_generations_are_tracked(self, trained_bundle):
@@ -144,9 +148,9 @@ class TestRefitInvalidation:
         bundle = self._linear_bundle(trained_bundle, machine, suite)
         phase = suite.get("SP").phases[0]
         ipc, rates = _sample_for(machine, bundle.full, phase)
-        bundle.predict_from_rates(ipc, rates)
+        _cached(bundle, ipc, rates)
         for _ in range(3):
-            bundle.predict_from_rates(ipc, rates)
+            _cached(bundle, ipc, rates)
         assert bundle.cache_info().hits == 3
         assert bundle.cache_info().size == 1
 
@@ -163,10 +167,10 @@ class TestCacheHitsAndMisses:
     def test_first_lookup_misses_second_hits(self, machine, suite, fresh_bundle):
         phase = suite.get("SP").phases[0]
         ipc, rates = _sample_for(machine, fresh_bundle.full, phase)
-        first = fresh_bundle.predict_from_rates(ipc, rates)
+        first = _cached(fresh_bundle, ipc, rates)
         info = fresh_bundle.cache_info()
         assert (info.hits, info.misses, info.size) == (0, 1, 1)
-        second = fresh_bundle.predict_from_rates(ipc, rates)
+        second = _cached(fresh_bundle, ipc, rates)
         info = fresh_bundle.cache_info()
         assert (info.hits, info.misses, info.size) == (1, 1, 1)
         assert first == second
@@ -177,11 +181,11 @@ class TestCacheHitsAndMisses:
     ):
         phase = suite.get("SP").phases[0]
         ipc, rates = _sample_for(machine, fresh_bundle.full, phase)
-        fresh_bundle.predict_from_rates(ipc, rates)
+        _cached(fresh_bundle, ipc, rates)
         # Perturb every feature by ~1e-9 relative — far below the 6
         # significant digits kept by the cache key.
         jittered = {e: v * (1.0 + 1e-9) for e, v in rates.items()}
-        fresh_bundle.predict_from_rates(ipc * (1.0 + 1e-9), jittered)
+        _cached(fresh_bundle, ipc * (1.0 + 1e-9), jittered)
         info = fresh_bundle.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
@@ -190,7 +194,7 @@ class TestCacheHitsAndMisses:
     ):
         for phase in suite.get("SP").phases[:4]:
             ipc, rates = _sample_for(machine, fresh_bundle.full, phase)
-            fresh_bundle.predict_from_rates(ipc, rates)
+            _cached(fresh_bundle, ipc, rates)
         info = fresh_bundle.cache_info()
         assert info.misses == 4
         assert info.size == 4
@@ -198,8 +202,8 @@ class TestCacheHitsAndMisses:
     def test_event_sets_do_not_collide(self, machine, suite, fresh_bundle):
         phase = suite.get("SP").phases[0]
         ipc, rates = _sample_for(machine, fresh_bundle.full, phase)
-        fresh_bundle.predict_from_rates(ipc, rates, event_set="full")
-        fresh_bundle.predict_from_rates(ipc, rates, event_set="reduced")
+        _cached(fresh_bundle, ipc, rates, event_set="full")
+        _cached(fresh_bundle, ipc, rates, event_set="reduced")
         info = fresh_bundle.cache_info()
         assert (info.misses, info.size) == (2, 2)
 
@@ -262,7 +266,7 @@ class TestBatchedCachePath:
         batched = fresh_bundle.predict_batch_from_rates(samples)
         assert fresh_bundle.cache_info().size == 5
         for (ipc, rates), predictions in zip(samples, batched):
-            single = fresh_bundle.predict_from_rates(ipc, rates)  # now cached
+            single = _cached(fresh_bundle, ipc, rates)  # now cached
             assert set(predictions) == set(predictor.target_configurations)
             for config in predictions:
                 assert predictions[config] == pytest.approx(
@@ -295,7 +299,7 @@ class TestQuantizationNeverChangesSelection:
             for phase in workload.phases:
                 ipc, rates = _sample_for(machine, predictor, phase)
                 raw = predictor.predict_from_rates(ipc, rates)
-                cached = fresh_bundle.predict_from_rates(ipc, rates)
+                cached = _cached(fresh_bundle, ipc, rates)
                 raw_best = selector.rank(
                     raw, measured_sample=(CONFIG_4.name, ipc)
                 ).best
@@ -309,35 +313,12 @@ class TestQuantizationNeverChangesSelection:
                 checked += 1
         assert checked > 20  # the seed suite really was swept
 
-    def test_cached_policy_reaches_same_decisions(self, machine, trained_bundle):
-        """End-to-end: a PredictionPolicy with use_cache=True locks every
-        phase to the same configuration as the uncached policy."""
-        from repro.core import ACTOR
-        from repro.openmp import OpenMPRuntime
-        from repro.workloads import nas_suite
-
-        suite = nas_suite(machine=machine, variability=0.0)
-        workload = suite.get("SP")
-        bundle = PredictorBundle(
-            full=trained_bundle.full,
-            reduced=trained_bundle.reduced,
-            cache=PredictionCache(),
-        )
-        decisions = {}
-        for use_cache in (False, True):
-            runtime = OpenMPRuntime(Machine(noise_sigma=0.0), seed=77)
-            policy = PredictionPolicy(bundle, use_cache=use_cache)
-            ACTOR(runtime).run_with_policy(workload, policy)
-            decisions[use_cache] = policy.decisions()
-        assert decisions[False] == decisions[True]
-        assert bundle.cache_info().misses > 0
-
 
 class TestNotFittedErrors:
     def test_linear_model_raises_clear_not_fitted_error(self):
         model = LinearIPCModel()
         with pytest.raises(NotFittedError, match="not fitted.*fit\\(features"):
-            model.predict_one(np.zeros(3))
+            model.predict_batch(np.zeros((2, 3)))
         with pytest.raises(NotFittedError, match="predict_batch"):
             model.predict_batch(np.zeros((2, 3)))
 
@@ -353,4 +334,4 @@ class TestNotFittedErrors:
         # continue to work.
         assert issubclass(NotFittedError, RuntimeError)
         with pytest.raises(RuntimeError):
-            LinearIPCModel().predict_one(np.zeros(3))
+            LinearIPCModel().predict_batch(np.zeros((1, 3)))

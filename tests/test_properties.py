@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.ann import MinMaxScaler, NeuralNetwork, StandardScaler
@@ -338,15 +338,22 @@ class TestRankingProperties:
         values=prediction_maps(),
         scale=st.floats(0.1, 50.0),
     )
+    @example(values={"a": 0.01, "b": 0.010000000000000002}, scale=7.0)
     @_SETTINGS
     def test_rank_of_selection_invariant_under_monotone_transform(
         self, values, scale
     ):
         selected = next(iter(values))
         transformed = {n: scale * v for n, v in values.items()}
-        assert rank_of_selection(selected, values) == rank_of_selection(
-            selected, transformed
-        )
+        # Under floating point a mathematically strict transform can round
+        # two near-equal predictions onto one value, creating a *new* tie
+        # whose tie-break legitimately reorders them — so the invariance
+        # claim only applies when the transform kept the distinct values
+        # distinct.
+        if len(set(transformed.values())) == len(set(values.values())):
+            assert rank_of_selection(selected, values) == rank_of_selection(
+                selected, transformed
+            )
         # Flipping the metric direction mirrors the rank.
         negated = {n: -v for n, v in values.items()}
         assert rank_of_selection(

@@ -4,9 +4,11 @@ Covers the batching window semantics in both directions (size-triggered
 dispatch beats the window; the window flushes undersized batches), the
 bounded-queue backpressure contract (reject with retry-after, client shim
 retries), and the central determinism guarantee: decisions served through
-the batching path are identical to serial per-phase selection — the
-prediction tier against direct :class:`ConfigurationSelector` calls, the
-grid tier against a direct :meth:`Machine.execute_grid` launch.  The TCP
+the batching path select what serial per-phase selection selects — the
+prediction tier against one-sample predictions ranked by direct
+:class:`ConfigurationSelector` calls (predictions to 1e-12), the grid tier
+against a direct :meth:`Machine.execute_grid` launch.  A request naming an
+event set the bundle lacks fails alone, in-process and on the wire.  The TCP
 classes pin the wire contract: pipelined lines share batches and are
 answered in request order, read-ahead stops at ``max_batch_size``, and end
 of input, an unframeable line, ``stop()`` and a client reset each leave
@@ -16,6 +18,7 @@ every line read answered or its connection cleanly closed.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import logging
 import socket
@@ -25,7 +28,12 @@ import time
 
 import pytest
 
-from repro.core import ConfigurationSelector
+from repro.core import (
+    ConfigurationSelector,
+    PredictionCache,
+    PredictorBundle,
+    UnknownEventSetError,
+)
 from repro.machine import CONFIG_4, Machine, WorkRequest
 from repro.service import (
     MAX_REQUEST_LINE_BYTES,
@@ -249,8 +257,28 @@ class TestBackpressure:
         asyncio.run(main())
 
 
+def _own_cache_bundle(trained_bundle, with_reduced=True):
+    """The ``trained_bundle`` fixture's members with a private prediction
+    cache, so no server or reference answers from entries another filled."""
+    return PredictorBundle(
+        full=trained_bundle.full,
+        reduced=trained_bundle.reduced if with_reduced else None,
+        cache=PredictionCache(),
+    )
+
+
+def _assert_same_selection(decision, configuration, ranking, predicted):
+    """Equal selection and ranking; predictions equal to 1e-12, since the
+    rows sharing a forward pass can move a prediction in the last bits."""
+    assert decision.configuration == configuration
+    assert decision.ranking == ranking
+    assert decision.predicted.keys() == predicted.keys()
+    for name, value in predicted.items():
+        assert decision.predicted[name] == pytest.approx(value, rel=1e-12)
+
+
 class TestPredictionServiceDeterminism:
-    """Batched decisions == serial per-phase selection, bit for bit."""
+    """Batched decisions select what serial per-phase selection selects."""
 
     def test_batched_decisions_match_direct_selector_calls(
         self, machine, suite, trained_bundle
@@ -259,12 +287,13 @@ class TestPredictionServiceDeterminism:
         requests = _phase_requests(machine, trained_bundle, phases)
         selector = ConfigurationSelector()
 
-        # Serial reference: exactly what PredictionPolicy does per phase.
+        # Serial reference: one sample at a time, as PredictionPolicy does.
+        reference_bundle = _own_cache_bundle(trained_bundle)
         reference = []
         for request in requests:
-            predictions = trained_bundle.predict_from_rates(
-                request.ipc_sample, request.rates_dict()
-            )
+            predictions = reference_bundle.predict_batch_from_rates(
+                [(request.ipc_sample, request.rates_dict())]
+            )[0]
             reference.append(
                 selector.rank(
                     predictions,
@@ -276,7 +305,9 @@ class TestPredictionServiceDeterminism:
             )
 
         async def main():
-            handler = PredictionHandler(trained_bundle, selector=selector)
+            handler = PredictionHandler(
+                _own_cache_bundle(trained_bundle), selector=selector
+            )
             async with AdaptationServer(
                 handler, max_batch_size=len(requests), max_batch_window=0.05
             ) as server:
@@ -286,12 +317,13 @@ class TestPredictionServiceDeterminism:
         for request, decision, ranked in zip(requests, decisions, reference):
             assert decision.client_id == request.client_id
             assert decision.phase == request.phase
-            assert decision.configuration == ranked.best
-            assert decision.ranking == ranked.ranking
-            assert decision.predicted == dict(ranked.predictions)
+            _assert_same_selection(
+                decision, ranked.best, ranked.ranking, ranked.predictions
+            )
             assert decision.objective == selector.objective
         assert metrics["decisions"] == len(requests)
-        assert "prediction_cache" in metrics["caches"]
+        assert metrics["batches"] == 1
+        assert metrics["caches"]["prediction_cache"]["hits"] == 0
 
     def test_one_at_a_time_server_agrees_with_batched_server(
         self, machine, suite, trained_bundle
@@ -300,15 +332,119 @@ class TestPredictionServiceDeterminism:
         requests = _phase_requests(machine, trained_bundle, phases)
 
         async def run_with(batch_size):
-            handler = PredictionHandler(trained_bundle)
+            handler = PredictionHandler(_own_cache_bundle(trained_bundle))
             async with AdaptationServer(
                 handler, max_batch_size=batch_size, max_batch_window=0.02
             ) as server:
-                return await server.submit_many(requests)
+                return await server.submit_many(requests), server.metrics()
 
-        batched = asyncio.run(run_with(len(requests)))
-        serial = asyncio.run(run_with(1))
-        assert [d.to_payload() for d in batched] == [d.to_payload() for d in serial]
+        batched, batched_metrics = asyncio.run(run_with(len(requests)))
+        serial, serial_metrics = asyncio.run(run_with(1))
+        assert batched_metrics["batches"] == 1
+        assert serial_metrics["batches"] == len(requests)
+        for metrics in (batched_metrics, serial_metrics):
+            assert metrics["caches"]["prediction_cache"]["hits"] == 0
+        for one, other in zip(serial, batched):
+            assert (one.client_id, one.phase, one.objective) == (
+                other.client_id,
+                other.phase,
+                other.objective,
+            )
+            _assert_same_selection(
+                one, other.configuration, other.ranking, other.predicted
+            )
+
+
+def _unknown_event_set_batch(machine, suite, trained_bundle):
+    """Five valid SP samples and, fourth, one naming the missing ``reduced``."""
+    requests = _phase_requests(
+        machine, trained_bundle, suite.get("SP").phases[:6]
+    )
+    requests[3] = dataclasses.replace(requests[3], event_set="reduced")
+    return requests
+
+
+class TestUnknownEventSet:
+    """A request naming an event set the bundle lacks fails alone."""
+
+    def test_other_requests_of_the_batch_are_decided(
+        self, machine, suite, trained_bundle
+    ):
+        requests = _unknown_event_set_batch(machine, suite, trained_bundle)
+
+        async def main():
+            handler = PredictionHandler(
+                _own_cache_bundle(trained_bundle, with_reduced=False)
+            )
+            async with AdaptationServer(
+                handler, max_batch_size=8, max_batch_window=0.05
+            ) as server:
+                outcomes = await asyncio.gather(
+                    *(server.submit(r) for r in requests), return_exceptions=True
+                )
+                return outcomes, server.metrics()
+
+        outcomes, metrics = asyncio.run(main())
+        assert metrics["batches"] == 1
+        assert isinstance(outcomes[3], UnknownEventSetError)
+        assert "reduced" in str(outcomes[3])
+        served = [o for i, o in enumerate(outcomes) if i != 3]
+        assert all(isinstance(o, AdaptationDecision) for o in served)
+        assert [d.client_id for d in served] == [
+            r.client_id for i, r in enumerate(requests) if i != 3
+        ]
+        assert metrics["decisions"] == 5
+
+    def test_tcp_line_answers_bad_request_and_connection_stays_open(
+        self, machine, suite, trained_bundle
+    ):
+        requests = _unknown_event_set_batch(machine, suite, trained_bundle)
+
+        def line(request):
+            payload = dict(request.to_payload(), kind="phase_sample")
+            return json.dumps(payload).encode() + b"\n"
+
+        async def main():
+            server = AdaptationServer(
+                PredictionHandler(
+                    _own_cache_bundle(trained_bundle, with_reduced=False)
+                ),
+                max_batch_size=8,
+                max_batch_window=0.05,
+            )
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"".join(line(r) for r in requests))
+                await writer.drain()
+                answers = await _answers(reader, len(requests))
+                # The same connection keeps serving after the bad line.
+                writer.write(line(requests[0]))
+                await writer.drain()
+                after = json.loads(await _next_line(reader))
+                writer.close()
+                await writer.wait_closed()
+                return answers, after
+            finally:
+                await server.stop()
+
+        outcome = asyncio.run(main())
+        if outcome is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        answers, after = outcome
+        assert answers[3] == {
+            "ok": False,
+            "error": "bad_request",
+            "detail": "no predictor available for event set 'reduced'",
+        }
+        for i, (request, answer) in enumerate(zip(requests, answers)):
+            if i != 3:
+                assert answer["ok"] is True
+                assert answer["decision"]["client_id"] == request.client_id
+        assert after["ok"] is True
 
 
 class TestGridService:
