@@ -1,8 +1,9 @@
-"""Benchmark: the vectorized batch execution engine of the machine model.
+"""Benchmark: one-phase configuration sweeps through the vectorized kernel.
 
 Old-vs-new on the simulation side, mirroring the batched *prediction* bench:
-one ``Machine.execute_batch`` pass over a placement × P-state cross-product
-versus the same cells through looped ``Machine.execute`` calls.  The
+one one-row ``Machine.execute_grid`` pass (one phase) over a placement ×
+P-state cross-product versus the same cells through looped
+``Machine.execute`` calls.  The
 acceptance bar is a >= 10x speedup with numerical equivalence, measured on
 the dense configuration space the ROADMAP's many-core / many-P-state
 scaling work grows toward (an 8-core topology under a 24-point frequency
@@ -12,7 +13,7 @@ repository root — throughput, speedup and cells/s per space — so the repo
 carries a perf trajectory artifact future PRs can diff against.
 
 Numerical equivalence across the *full* cross-product for every NAS phase
-is pinned by the fast tier (``tests/test_machine_batch.py``); this file
+is pinned by the fast tier (``tests/test_machine_grid.py``); this file
 asserts the throughput claim.
 """
 
@@ -38,7 +39,7 @@ from repro.workloads import nas_suite
 
 _ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_machine_batch.json"
 
-#: Batched execution over the dense space vs looped scalar ``execute``.
+#: A one-row grid over the dense space vs looped scalar ``execute``.
 BATCH_SPEEDUP_FLOOR = 10.0
 #: Memo-warm sweep vs looped scalar ``execute``.
 MEMO_WARM_SPEEDUP_FLOOR = 20.0
@@ -77,7 +78,7 @@ def _measure_space(machine: Machine, configs, work) -> dict:
         return [machine.execute(work, config, apply_noise=False) for config in configs]
 
     def batched():
-        return machine.execute_batch(work, configs, use_memo=False)
+        return machine.execute_grid([work], configs, use_memo=False)
 
     # Warm both paths (placement statics, validation caches, NumPy buffers),
     # then check numerical equivalence before timing anything.
@@ -86,15 +87,15 @@ def _measure_space(machine: Machine, configs, work) -> dict:
     for attribute in ("time_seconds", "ipc", "power_watts"):
         loop_column = np.array([getattr(r, attribute) for r in loop_results])
         assert np.allclose(
-            loop_column, getattr(batch_results, attribute), rtol=1e-9, atol=0.0
+            loop_column, getattr(batch_results, attribute)[0], rtol=1e-9, atol=0.0
         ), attribute
 
     loop_seconds = _best_of(3, looped)
     batch_seconds = _best_of(3, batched)
 
     # A memo-warm sweep for the trajectory artifact.
-    machine.execute_batch(work, configs)
-    memo_seconds = _best_of(3, lambda: machine.execute_batch(work, configs))
+    machine.execute_grid([work], configs)
+    memo_seconds = _best_of(3, lambda: machine.execute_grid([work], configs))
 
     cells = len(configs)
     return {
@@ -130,7 +131,7 @@ def test_batch_execution_throughput_and_artifact():
     paper = _measure_space(paper_machine, paper_configs, work)
 
     artifact = {
-        "benchmark": "machine.execute_batch vs looped machine.execute",
+        "benchmark": "one-row machine.execute_grid vs looped machine.execute",
         "host": host_info(),
         "workload_phase": "SP/phase0",
         "dense_8core_24pstates": dense,
@@ -169,8 +170,8 @@ def test_execution_memo_makes_repeat_sweeps_nearly_free():
     suite = nas_suite(machine=Machine(noise_sigma=0.0), names=["IS"])
     work = suite.get("IS").phases[0].work
 
-    machine.execute_batch(work, configs)  # populate the memo
-    warm = machine.execute_batch(work, configs)
+    machine.execute_grid([work], configs)  # populate the memo
+    warm = machine.execute_grid([work], configs)
     assert warm.memo_hits == len(configs)
 
     loop_seconds = _best_of(
@@ -179,7 +180,7 @@ def test_execution_memo_makes_repeat_sweeps_nearly_free():
             machine.execute(work, config, apply_noise=False) for config in configs
         ],
     )
-    memo_seconds = _best_of(3, lambda: machine.execute_batch(work, configs))
+    memo_seconds = _best_of(3, lambda: machine.execute_grid([work], configs))
     speedup = loop_seconds / memo_seconds
     print(f"\nmemo-warm sweep: {speedup:.1f}x over the scalar loop")
     assert speedup >= MEMO_WARM_SPEEDUP_FLOOR, (

@@ -4,16 +4,16 @@ Old-vs-new on the phase axis, mirroring the configuration-axis bench
 (``bench_machine_batch.py``): one ``Machine.execute_grid`` pass over the
 *entire* NAS-like suite — every phase of every benchmark against the full
 placement × P-state cross-product — versus the same cells through one
-``Machine.execute_batch`` launch per phase (the engine oracle construction
-used before the grid rewiring).  The acceptance bar is a >= 3x speedup with
+one-row ``Machine.execute_grid`` launch per phase (how oracle construction
+swept before the grid rewiring).  The acceptance bar is a >= 3x speedup with
 numerical equivalence on the full sweep.
 
 The run also times both sides of the small-batch scalar short-circuit —
-cold 1-cell and 15-cell sweeps through the default path, against the same
-cells forced through the kernel (a memo-bypassing call always launches it)
-or through looped scalar ``execute`` calls — and the memo-warm grid, and
-writes ``BENCH_machine_grid.json`` at the repository root so the repo
-carries a perf trajectory artifact future PRs can diff against.
+cold 1-cell and 15-cell one-row sweeps through the default path, against
+the same cells forced through the kernel (a memo-bypassing call always
+launches it) or through looped scalar ``execute`` calls — and the memo-warm
+grid, and writes ``BENCH_machine_grid.json`` at the repository root so the
+repo carries a perf trajectory artifact future PRs can diff against.
 
 Numerical equivalence of the grid against looped scalar ``execute`` for
 every NAS phase × cross-product cell is pinned by the fast tier
@@ -40,7 +40,7 @@ from repro.workloads import nas_suite
 
 _ARTIFACT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_machine_grid.json"
 
-#: Full-suite grid vs one ``execute_batch`` launch per phase.
+#: Full-suite grid vs one one-row ``execute_grid`` launch per phase.
 GRID_SPEEDUP_FLOOR = 3.0
 #: A cold 1-cell sweep may take at most this multiple of the kernel's time.
 ONE_CELL_SCALAR_SLACK = 1.5
@@ -67,7 +67,7 @@ def _suite_works():
 
 @pytest.mark.perf_smoke
 def test_grid_vs_per_phase_batch_throughput_and_artifact():
-    """Grid >= 3x per-phase batches on the full NAS sweep, equivalent results."""
+    """Grid >= 3x per-phase one-row grids on the full NAS sweep, equivalent."""
     machine = Machine(noise_sigma=0.0)
     configs = dvfs_configurations(
         standard_configurations(machine.topology), machine.pstate_table
@@ -77,7 +77,7 @@ def test_grid_vs_per_phase_batch_throughput_and_artifact():
 
     def per_phase_batches():
         return [
-            machine.execute_batch(work, configs, use_memo=False) for work in works
+            machine.execute_grid([work], configs, use_memo=False) for work in works
         ]
 
     def grid():
@@ -88,7 +88,7 @@ def test_grid_vs_per_phase_batch_throughput_and_artifact():
     batches = per_phase_batches()
     grid_result = grid()
     for attribute in ("time_seconds", "ipc", "power_watts"):
-        batch_rows = np.array([getattr(b, attribute) for b in batches])
+        batch_rows = np.array([getattr(b, attribute)[0] for b in batches])
         assert np.allclose(
             batch_rows, getattr(grid_result, attribute), rtol=1e-9, atol=0.0
         ), attribute
@@ -110,10 +110,10 @@ def test_grid_vs_per_phase_batch_throughput_and_artifact():
         best = float("inf")
         for _ in range(5):
             fresh = Machine(noise_sigma=0.0)
-            fresh.execute_batch(works[0], configurations)
+            fresh.execute_grid([works[0]], configurations)
             fresh.clear_execution_memo()
             started = time.perf_counter()
-            fresh.execute_batch(works[0], configurations, use_memo=use_memo)
+            fresh.execute_grid([works[0]], configurations, use_memo=use_memo)
             best = min(best, time.perf_counter() - started)
         return best
 
@@ -135,7 +135,7 @@ def test_grid_vs_per_phase_batch_throughput_and_artifact():
     paper_scalar = scalar_loop(configs)
 
     artifact = {
-        "benchmark": "machine.execute_grid vs per-phase machine.execute_batch",
+        "benchmark": "machine.execute_grid: full suite vs one one-row grid per phase",
         "host": host_info(),
         "sweep": "full NAS suite x placement x P-state cross-product",
         "grid_full_suite": {
@@ -168,7 +168,7 @@ def test_grid_vs_per_phase_batch_throughput_and_artifact():
 
     print(
         f"\ngrid execution ({len(works)} phases x {len(configs)} configs = "
-        f"{cells} cells): per-phase batches {cells / batch_seconds:,.0f} cells/s, "
+        f"{cells} cells): per-phase rows {cells / batch_seconds:,.0f} cells/s, "
         f"grid {cells / grid_seconds:,.0f} cells/s, memo-warm "
         f"{cells / warm_seconds:,.0f} cells/s, speedup {speedup:.1f}x"
     )
@@ -195,8 +195,8 @@ def test_grid_vs_per_phase_batch_throughput_and_artifact():
         f"small-batch cutoff is miscalibrated"
     )
     assert speedup >= GRID_SPEEDUP_FLOOR, (
-        f"grid only {speedup:.1f}x faster than per-phase batches "
-        f"(batches {batch_seconds * 1e3:.2f} ms, grid {grid_seconds * 1e3:.2f} ms "
+        f"grid only {speedup:.1f}x faster than per-phase one-row grids "
+        f"(per phase {batch_seconds * 1e3:.2f} ms, grid {grid_seconds * 1e3:.2f} ms "
         f"for {cells} cells)"
     )
 

@@ -14,9 +14,10 @@ It then demonstrates the seven scaling features of the serving path:
   ``predict_batch_from_rates`` call scores every target configuration for
   every pending phase sample at once (with an LRU cache keyed on quantized
   counter rates in front of it);
-* the **batched simulation engine** — one ``Machine.execute_batch`` call
-  evaluates a phase across the whole placement × P-state cross-product in
-  a single NumPy pass (>= 10x over looped ``execute``), with a
+* the **batched simulation engine** — one ``Machine.execute_grid`` call
+  evaluates phases across the whole placement × P-state cross-product in
+  a single NumPy pass (a one-phase sweep is a one-row grid, >= 10x over
+  looped ``execute``), with a
   deterministic execution memo keyed on
   ``(work fingerprint, placement, P-state)`` so oracle building and
   training collection never simulate the same cell twice; every cold cell
@@ -177,18 +178,18 @@ def main() -> None:
 
     # 6b. The batched *simulation* engine: one vectorized pass evaluates a
     #     phase across the machine's whole placement x P-state cross-product
-    #     (noise-free results match looped `execute` to floating-point
-    #     accuracy).  A deterministic execution memo keyed on
+    #     as a one-row grid (noise-free results match looped `execute` to
+    #     floating-point accuracy).  A deterministic execution memo keyed on
     #     (work fingerprint, placement, P-state) serves repeated cells —
     #     oracle building and training collection share it automatically.
     phase0 = target.phases[0].work
-    sweep = machine.execute_batch(phase0)  # default: full cross-product
+    sweep = machine.execute_grid([phase0])  # default: full cross-product
     print()
-    print(f"Batched simulation over {len(sweep)} configurations:")
+    print(f"Batched simulation over {len(sweep.configurations)} configurations:")
     for metric in ("time_seconds", "energy_joules", "ed2"):
-        best = sweep.best(metric)
+        best = sweep.best(metric)[0]
         print(f"  min {metric:14s} -> {best.name}")
-    sweep = machine.execute_batch(phase0)  # repeat: served from the memo
+    sweep = machine.execute_grid([phase0])  # repeat: served from the memo
     memo = machine.execution_memo_info()
     print(
         f"  execution memo: {memo.hits} hits / {memo.misses} misses "

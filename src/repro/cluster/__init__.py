@@ -9,7 +9,7 @@ failures, stragglers and cap steps.
 """
 
 from .node import Node, NodeSweep
-from .registry import Fleet, NodeRegistry
+from .registry import Fleet
 from .scenarios import (
     CapStep,
     NodeFailure,
@@ -35,7 +35,6 @@ from .scheduler import (
 __all__ = [
     "Node",
     "NodeSweep",
-    "NodeRegistry",
     "Fleet",
     "FleetJob",
     "JobDecision",

@@ -42,7 +42,6 @@ import numpy as np
 from ..machine.machine import GridExecutionResult, Machine
 from ..machine.placement import Configuration
 from ..machine.work import WorkRequest
-from ..openmp.runtime import OpenMPRuntime
 from ..store.memo_store import MemoStore
 
 __all__ = ["Node", "NodeSweep"]
@@ -94,10 +93,9 @@ class Node:
         Registry key, unique within a fleet.
     machine:
         The simulated platform; a deterministic default machine when
-        omitted.  A noisy machine is accepted (the degenerate one-node
-        fleet wraps experiment machines that model run-to-run jitter) but
-        :meth:`sweep` — the scheduling path — requires ``noise_sigma == 0``
-        so fleet decisions stay bit-reproducible.
+        omitted.  A noisy machine is accepted, but :meth:`sweep` — the
+        scheduling path — requires ``noise_sigma == 0`` so fleet decisions
+        stay bit-reproducible.
     configurations:
         Candidate operating points the scheduler may pick on this node;
         defaults to :meth:`~repro.machine.Machine.default_configurations`.
@@ -222,18 +220,6 @@ class Node:
         )
         self._sweep_cache = (cache_key, sweep)
         return sweep
-
-    # ------------------------------------------------------------------
-    def new_runtime(self, seed: int, keep_executions: bool = False) -> OpenMPRuntime:
-        """A fresh OpenMP runtime bound to this node's machine.
-
-        The single-node experiment drivers obtain their runtimes through
-        the (degenerate one-node) fleet with this, so the machine an
-        experiment executes on is the one the fleet layer owns.
-        """
-        return OpenMPRuntime(
-            self.machine, seed=seed, keep_executions=keep_executions
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         straggler = (

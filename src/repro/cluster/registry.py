@@ -1,14 +1,14 @@
-"""First-class registries for fleet membership.
+"""Fleet membership: the named nodes a scheduler places work on.
 
 The datacenter layer treats machines the way a provisioning system does:
 nodes are *registered* objects with identity, looked up by name, joining
 and leaving at runtime — not an ad-hoc list threaded through call sites.
-:class:`NodeRegistry` is the bare name → :class:`~repro.cluster.Node`
-mapping with strict registration semantics (duplicate names and unknown
-lookups are errors, membership changes are explicit); :class:`Fleet`
-owns one registry and layers the physical-aggregate view on top: total
-idle floor, deterministic iteration order, and durable per-kind memo
-stores shared across nodes of identical machine parameterization.
+:class:`Fleet` holds the name → :class:`~repro.cluster.Node` mapping with
+strict registration semantics (duplicate names and unknown lookups are
+errors, membership changes are explicit) and layers the
+physical-aggregate view on top: total idle floor, deterministic iteration
+order, and durable per-kind memo stores shared across nodes of identical
+machine parameterization.
 
 Iteration order everywhere is **sorted by node name**, never insertion
 order, so a fleet assembled join-by-join and the same fleet built in one
@@ -24,54 +24,7 @@ from typing import Dict, Iterator, List, Optional, Union
 from ..store.memo_store import CompactionPolicy, MemoStore
 from .node import Node
 
-__all__ = ["NodeRegistry", "Fleet"]
-
-
-class NodeRegistry:
-    """Name → node mapping with strict registration semantics."""
-
-    def __init__(self) -> None:
-        self._nodes: Dict[str, Node] = {}
-
-    def register(self, node: Node) -> Node:
-        """Add ``node``; a duplicate name is an error, not an overwrite."""
-        if node.name in self._nodes:
-            raise ValueError(f"node {node.name!r} is already registered")
-        self._nodes[node.name] = node
-        return node
-
-    def unregister(self, name: str) -> Node:
-        """Remove and return the node called ``name``."""
-        try:
-            return self._nodes.pop(name)
-        except KeyError:
-            raise KeyError(
-                f"no node {name!r} registered; known: {self.names()}"
-            ) from None
-
-    def get(self, name: str) -> Node:
-        """The node called ``name``."""
-        try:
-            return self._nodes[name]
-        except KeyError:
-            raise KeyError(
-                f"no node {name!r} registered; known: {self.names()}"
-            ) from None
-
-    def names(self) -> List[str]:
-        """Registered names, sorted."""
-        return sorted(self._nodes)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._nodes
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __iter__(self) -> Iterator[Node]:
-        """Nodes in sorted-name order (deterministic under churn)."""
-        for name in self.names():
-            yield self._nodes[name]
+__all__ = ["Fleet"]
 
 
 class Fleet:
@@ -85,45 +38,60 @@ class Fleet:
     """
 
     def __init__(self, nodes: Optional[List[Node]] = None) -> None:
-        self.registry = NodeRegistry()
-        for node in nodes or []:
-            self.registry.register(node)
+        self._nodes: Dict[str, Node] = {}
         self._store_root: Optional[pathlib.Path] = None
         self._store_policy: Optional[CompactionPolicy] = None
         self._stores: Dict[str, MemoStore] = {}
+        for node in nodes or []:
+            self.add(node)
 
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
     def add(self, node: Node) -> Node:
-        """Node join.  Attaches the fleet's store (if any) for its kind."""
-        self.registry.register(node)
+        """Node join.  Attaches the fleet's store (if any) for its kind.
+
+        A duplicate name is an error, not an overwrite.
+        """
+        if node.name in self._nodes:
+            raise ValueError(f"node {node.name!r} is already registered")
+        self._nodes[node.name] = node
         if self._store_root is not None and node.memo_store is None:
             node.attach_store(self._store_for(node.kind))
         return node
 
     def remove(self, name: str) -> Node:
         """Node leave (or failure); the node object is returned intact."""
-        return self.registry.unregister(name)
+        node = self.node(name)
+        del self._nodes[name]
+        return node
 
     def node(self, name: str) -> Node:
-        return self.registry.get(name)
+        """The node called ``name``."""
+        try:
+            return self._nodes[name]
+        except KeyError:
+            raise KeyError(
+                f"no node {name!r} registered; known: {self.names()}"
+            ) from None
 
     def names(self) -> List[str]:
-        return self.registry.names()
+        """Member names, sorted."""
+        return sorted(self._nodes)
 
     def nodes(self) -> List[Node]:
         """Member nodes in sorted-name order."""
-        return list(self.registry)
+        return [self._nodes[name] for name in self.names()]
 
     def __contains__(self, name: object) -> bool:
-        return name in self.registry
+        return name in self._nodes
 
     def __len__(self) -> int:
-        return len(self.registry)
+        return len(self._nodes)
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self.registry)
+        """Nodes in sorted-name order (deterministic under churn)."""
+        return iter(self.nodes())
 
     # ------------------------------------------------------------------
     # aggregates

@@ -28,7 +28,6 @@ from .policies import (
     OracleGlobalPolicy,
     OraclePhasePolicy,
     PredictionPolicy,
-    RegressionPolicy,
     SearchPolicy,
     StaticPolicy,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "PredictorBundle",
     "RankedPrediction",
     "REDUCED_EVENT_SET",
-    "RegressionPolicy",
     "SampleAggregate",
     "SearchPolicy",
     "StaticPolicy",

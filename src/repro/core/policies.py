@@ -9,9 +9,10 @@ OpenMP phase — and decides, per phase, which threading configuration to use:
 * :class:`PredictionPolicy` — the paper's contribution: sample hardware
   counters at maximal concurrency for the first few instances of each phase,
   predict the IPC of every configuration with the ANN ensembles, and lock the
-  phase to the configuration with the highest predicted IPC;
-* :class:`RegressionPolicy` — identical control flow but backed by the
-  multiple-linear-regression models of the paper's earlier work [3];
+  phase to the configuration with the highest predicted IPC; over a bundle of
+  the multiple-linear-regression models of the paper's earlier work [3]
+  (``train_predictor_bundle(..., linear=True)``) the same policy is that
+  work's regression baseline and names itself ``"regression"``;
 * :class:`SearchPolicy` — the empirical-search baseline [17]: try every
   candidate configuration on successive instances and keep the best measured
   one;
@@ -51,7 +52,6 @@ __all__ = [
     "AdaptationPolicy",
     "StaticPolicy",
     "PredictionPolicy",
-    "RegressionPolicy",
     "EnergyAwarePolicy",
     "SearchPolicy",
     "OraclePhasePolicy",
@@ -227,12 +227,6 @@ class PredictionPolicy(AdaptationPolicy):
             for phase, state in self._states.items()
             if state.ranking is not None
         }
-
-
-class RegressionPolicy(PredictionPolicy):
-    """Prediction policy backed by linear-regression models (baseline [3])."""
-
-    name = "regression"
 
 
 class EnergyAwarePolicy(PredictionPolicy):

@@ -31,7 +31,6 @@ from ..core.actor import ACTOR
 from ..core.events import FULL_EVENT_SET, REDUCED_EVENT_SET
 from ..core.policies import (
     PredictionPolicy,
-    RegressionPolicy,
     SearchPolicy,
     StaticPolicy,
 )
@@ -103,7 +102,7 @@ def run_ablation_policies(ctx: ExperimentContext) -> Figure:
         policies = {
             "static-4": StaticPolicy(CONFIG_4),
             "search": SearchPolicy(ctx.configurations),
-            "regression": RegressionPolicy(linear_bundle),
+            "regression": PredictionPolicy(linear_bundle),
             "prediction": PredictionPolicy(ann_bundle),
         }
         reports = {

@@ -21,7 +21,6 @@ from typing import Dict, List
 
 from ..analysis.metrics import geometric_mean
 from ..analysis.reporting import Figure, format_nested_table
-from ..cluster import Fleet, Node
 from ..core.actor import ACTOR
 from ..core.policies import (
     OracleGlobalPolicy,
@@ -52,20 +51,10 @@ def run_fig8(ctx: ExperimentContext) -> Figure:
     }
     decisions: Dict[str, Dict[str, str]] = {}
 
-    # The single-node experiment is the degenerate case of the fleet layer:
-    # one registered node wrapping the context's machine serves every
-    # policy run.  Scheduling through the fleet keeps decisions identical
-    # to the pre-fleet driver (pinned by the fig8 golden tests) while the
-    # cluster experiments reuse the same node/runtime plumbing at N > 1.
-    fleet = Fleet([Node("fig8", machine=ctx.machine)])
-    node = fleet.node("fig8")
-
     for index, workload in enumerate(ctx.suite):
         oracle = ctx.oracle(workload.name)
         bundle = ctx.bundle_for_held_out(workload.name)
-        runtime = node.new_runtime(
-            seed=ctx.seed + index, keep_executions=False
-        )
+        runtime = ctx.new_runtime(seed_offset=index)
         actor = ACTOR(runtime)
         policies = {
             "4-cores": StaticPolicy(CONFIG_4),
@@ -126,7 +115,6 @@ def run_fig8(ctx: ExperimentContext) -> Figure:
             "averages": averages,
             "prediction_decisions": decisions,
             "is_ed2_prediction": normalized["ed2"].get("IS", {}).get("prediction"),
-            "fleet": {"nodes": fleet.names(), "node_kind": node.kind},
         },
         text="\n".join(text_blocks),
         notes=(

@@ -19,8 +19,8 @@ cross-product with the batched prediction engine (one model per
 (placement, P-state) target) and select with the analytic
 :class:`~repro.core.selector.EnergyCostModel`.  The offline side of the
 sweep — collecting each held-out DVFS training dataset over the whole
-cross-product — runs through the machine's vectorized batch engine
-(:meth:`~repro.machine.Machine.execute_batch`), whose execution memo
+cross-product — runs through the machine's vectorized grid engine
+(:meth:`~repro.machine.Machine.execute_grid`), whose execution memo
 deduplicates cells shared between the full- and reduced-event passes.
 
 The comparison runs on the CPU-dominated power profile of the DVFS

@@ -33,7 +33,6 @@ from .cpu import CPIBreakdown, CPIBreakdownBatch, CPUModel
 from .dvfs import PState, PStateTable, default_pstate_table, format_frequency
 from .fixedpoint import solve_fixed_point_scalar, solve_fixed_point_vector
 from .machine import (
-    BatchExecutionResult,
     ExecutionMemoInfo,
     ExecutionMemoSnapshot,
     ExecutionResult,
@@ -83,7 +82,6 @@ STANDARD_CONFIGURATIONS = standard_configurations()
 
 __all__ = [
     "ALWAYS_AVAILABLE",
-    "BatchExecutionResult",
     "BusState",
     "BusStateBatch",
     "CONFIG_1",

@@ -214,7 +214,3 @@ class CacheModel:
         """Average per-thread L2 miss ratio under ``placement``."""
         ratios = self.per_thread_miss_ratios(work, placement)
         return sum(ratios) / len(ratios)
-
-    def l1_miss_ratio(self, work: WorkRequest) -> float:
-        """L1 misses per memory access (placement independent)."""
-        return min(1.0, max(0.0, work.l1_miss_rate))

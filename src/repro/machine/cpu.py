@@ -238,40 +238,3 @@ class CPUModel:
             l2_miss=l2_component,
             branch=branch_component,
         )
-
-    def ipc(
-        self,
-        work: WorkRequest,
-        core: CoreDescriptor,
-        l2_miss_ratio: float,
-        memory_latency_cycles: float,
-        l2_hit_latency_cycles: float,
-    ) -> float:
-        """Convenience wrapper returning only the thread IPC."""
-        return self.breakdown(
-            work, core, l2_miss_ratio, memory_latency_cycles, l2_hit_latency_cycles
-        ).ipc
-
-    @staticmethod
-    def rescale_breakdown(
-        breakdown: CPIBreakdown, frequency_ratio: float
-    ) -> CPIBreakdown:
-        """First-order CPI stack at a different clock frequency.
-
-        Off-chip latency is fixed in nanoseconds, so the L2-miss CPI
-        component scales linearly with the clock (``frequency_ratio`` =
-        new frequency / reference frequency), while the base, L1/L2 and
-        branch components — all in core cycles within the package clock
-        domain — are unchanged.  This is the analytic first-order view of
-        why memory-bound phases lose little wall-clock time at a lower
-        P-state; the full machine model additionally re-resolves bus
-        contention at the new frequency.
-        """
-        if frequency_ratio <= 0:
-            raise ValueError("frequency_ratio must be positive")
-        return CPIBreakdown(
-            base=breakdown.base,
-            l1_miss=breakdown.l1_miss,
-            l2_miss=breakdown.l2_miss * frequency_ratio,
-            branch=breakdown.branch,
-        )

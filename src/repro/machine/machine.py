@@ -7,23 +7,17 @@ into a single entry point::
     result = machine.execute(work, CONFIG_2B.placement)
     result.time_seconds, result.ipc, result.power_watts, result.event_counts
 
-For configuration sweeps, :meth:`Machine.execute_batch` evaluates one phase
-under a whole list of configurations (the full placement × P-state
-cross-product by default) in a single vectorized pass::
-
-    batch = machine.execute_batch(work)               # one NumPy pass
-    batch.time_seconds, batch.ipc, batch.ed2          # arrays, config order
-    batch.best("ed2"), batch.result_for("2b@1.6GHz")  # lazy full results
-
-:meth:`Machine.execute_grid` generalizes the sweep across the phase axis:
-all phases of a benchmark (or several benchmarks) × a configuration space
-in one kernel launch, returning ``(W, C)`` metric arrays::
+For configuration sweeps, :meth:`Machine.execute_grid` evaluates phases ×
+configurations (the full placement × P-state cross-product by default) in
+one vectorized kernel launch, returning ``(W, C)`` metric arrays; a
+one-phase sweep is a one-row grid::
 
     grid = machine.execute_grid([p.work for p in workload.phases])
-    grid.time_seconds[w, c], grid.best("time_seconds")[w]
-    grid.result(w, c), grid.row(w)                    # lazy full results
+    grid.time_seconds[w, c], grid.best("ed2")[w]      # arrays, row-major
+    grid.result(w, c), grid.result_for(w, "2b@1.6GHz")  # lazy full results
+    sweep = machine.execute_grid([work]); sweep.ipc[0]  # one phase, row 0
 
-Noise-free batch and grid results match looped ``execute`` calls to
+Noise-free grid results match looped ``execute`` calls to
 floating-point accuracy, and a per-machine LRU memo (keyed by work
 fingerprint, placement and per-core P-state operating points) serves
 repeated cells without re-simulation — oracle construction and
@@ -92,7 +86,6 @@ from .topology import Topology, quad_core_xeon
 from .work import WorkRequest, work_field_rows
 
 __all__ = [
-    "BatchExecutionResult",
     "ExecutionMemoInfo",
     "ExecutionMemoSnapshot",
     "ExecutionResult",
@@ -104,14 +97,14 @@ __all__ = [
 #: itself (spin loops, flag updates); small but keeps counters consistent.
 _SYNC_INSTRUCTIONS_PER_BARRIER = 400.0
 
-#: Below this many cold (not-yet-memoized) cells, ``execute_batch`` /
-#: ``execute_grid`` serve the cells through the memoized scalar path instead
-#: of launching the vectorized kernel.  The kernel costs ~0.46 ms of fixed
-#: setup plus ~20 µs per cell, against 80–180 µs per scalar cell (2-core
-#: x86-64 VM, NumPy 2.4; see ``BENCH_machine_grid.json``), putting the
-#: crossover near six cells — so 1-cell sample probes skip the setup cost
-#: while the paper's 15-cell cross-product stays on the kernel.  The memo
-#: makes the scalar detour a one-time cost per cell either way.
+#: Below this many cold (not-yet-memoized) cells, ``execute_grid`` serves
+#: the cells through the memoized scalar path instead of launching the
+#: vectorized kernel.  The kernel costs ~0.46 ms of fixed setup plus
+#: ~20 µs per cell, against 80–180 µs per scalar cell (2-core x86-64 VM,
+#: NumPy 2.4; see ``BENCH_machine_grid.json``), putting the crossover
+#: near six cells — so 1-cell sample probes skip the setup cost while the
+#: paper's 15-cell cross-product stays on the kernel.  The memo makes the
+#: scalar detour a one-time cost per cell either way.
 DEFAULT_SMALL_BATCH_CUTOFF = 6
 
 
@@ -228,7 +221,7 @@ class _CellEntry(NamedTuple):
 
     Everything a full :class:`ExecutionResult` needs that is not derivable
     from ``(work, configuration)`` alone — kept as plain floats and tuples
-    so memoized cells are cheap to store and to assemble into batch arrays.
+    so memoized cells are cheap to store and to assemble into grid arrays.
     """
 
     time_seconds: float
@@ -355,13 +348,30 @@ class _ConfigStatic(NamedTuple):
     scalars: Tuple[float, ...]
 
 
-class _ExecutionArrays:
-    """Shared metric-array surface of batch and grid execution results.
+class GridExecutionResult:
+    """Vectorized outcome of executing many phases under many configurations.
 
-    Subclasses call :meth:`_assign_metric_arrays` with their compact cell
-    entries (and an optional reshape) so the entry-to-array assembly, the
-    derived energy metrics and the name/metric lookups live in exactly one
-    place; a new metric only needs wiring here.
+    Produced by :meth:`Machine.execute_grid`.  Metric arrays have shape
+    ``(W, C)`` — row ``w`` is work (phase) ``w``, column ``c`` is
+    configuration ``c`` — so a whole benchmark's oracle table, or the phases
+    of several benchmarks at once, come out of one kernel pass; a one-phase
+    sweep is the one-row grid.  Full :class:`ExecutionResult` objects —
+    including hardware event counts — are materialized lazily per cell via
+    :meth:`result`, so sweeps that only consume time/IPC/power never pay for
+    per-cell Python object construction.
+
+    Attributes
+    ----------
+    works:
+        The executed phase characterizations, in input (row) order.
+    configurations:
+        The evaluated configurations, in input (column) order.
+    time_seconds, cycles, instructions, ipc, power_watts, frequency_ghz,
+    bus_utilization:
+        ``(W, C)`` metric arrays.
+    memo_hits, memo_misses:
+        How many cells of *this call* were served from the machine's
+        execution memo versus actually simulated.
     """
 
     _METRICS = (
@@ -377,30 +387,52 @@ class _ExecutionArrays:
         "bus_utilization",
     )
 
-    configurations: List[Configuration]
-
-    def _assign_metric_arrays(
-        self, entries: Sequence[_CellEntry], shape: Optional[Tuple[int, ...]] = None
+    def __init__(
+        self,
+        works: List[WorkRequest],
+        configurations: List[Configuration],
+        machine: "Machine",
+        entries: List[_CellEntry],
+        memo_hits: int = 0,
+        memo_misses: int = 0,
     ) -> None:
-        arrays = {
-            "time_seconds": np.array([e.time_seconds for e in entries]),
-            "cycles": np.array([e.cycles for e in entries]),
-            "instructions": np.array([e.instructions for e in entries]),
-            "ipc": np.array([e.ipc for e in entries]),
-            "power_watts": np.array(
-                [
-                    e.power[0] + e.power[1] + e.power[2] + e.power[3] + e.power[4]
-                    for e in entries
-                ]
-            ),
-            "frequency_ghz": np.array([e.frequency_ghz for e in entries]),
-            "bus_utilization": np.array([e.bus[2] for e in entries]),
-        }
-        for name, values in arrays.items():
-            setattr(self, name, values if shape is None else values.reshape(shape))
+        self.works = works
+        self.configurations = configurations
+        self.memo_hits = memo_hits
+        self.memo_misses = memo_misses
+        self._machine = machine
+        self._entries = entries  # flat, row-major: entry of (w, c) at w * C + c
+        self._results: Dict[Tuple[int, int], ExecutionResult] = {}
+        shape = (len(works), len(configurations))
+
+        def column(values: List[float]) -> np.ndarray:
+            return np.array(values).reshape(shape)
+
+        self.time_seconds = column([e.time_seconds for e in entries])
+        self.cycles = column([e.cycles for e in entries])
+        self.instructions = column([e.instructions for e in entries])
+        self.ipc = column([e.ipc for e in entries])
+        self.power_watts = column(
+            [
+                e.power[0] + e.power[1] + e.power[2] + e.power[3] + e.power[4]
+                for e in entries
+            ]
+        )
+        self.frequency_ghz = column([e.frequency_ghz for e in entries])
+        self.bus_utilization = column([e.bus[2] for e in entries])
         self._index: Dict[str, int] = {}
-        for i, config in enumerate(self.configurations):
+        for i, config in enumerate(configurations):
             self._index.setdefault(config.name, i)
+
+    # ------------------------------------------------------------------
+    @property
+    def shape(self) -> Tuple[int, int]:
+        """``(num works, num configurations)``."""
+        return (len(self.works), len(self.configurations))
+
+    def __len__(self) -> int:
+        """Total number of grid cells (works × configurations)."""
+        return len(self._entries)
 
     @property
     def energy_joules(self) -> np.ndarray:
@@ -439,145 +471,6 @@ class _ExecutionArrays:
             )
         return getattr(self, metric)
 
-
-class BatchExecutionResult(_ExecutionArrays):
-    """Vectorized outcome of executing one phase under many configurations.
-
-    Produced by :meth:`Machine.execute_batch`.  The headline metrics are
-    exposed as NumPy arrays aligned with :attr:`configurations` (one entry
-    per configuration, in input order); full :class:`ExecutionResult`
-    objects — including hardware event counts — are materialized lazily via
-    :meth:`result` so sweeps that only consume time/IPC/power never pay for
-    per-cell Python object construction.
-
-    Attributes
-    ----------
-    work:
-        The phase that was executed.
-    configurations:
-        The evaluated configurations, in input order.
-    time_seconds, cycles, instructions, ipc, power_watts, frequency_ghz,
-    bus_utilization:
-        Per-configuration metric arrays.
-    memo_hits, memo_misses:
-        How many cells of *this call* were served from the machine's
-        execution memo versus actually simulated.
-    """
-
-    def __init__(
-        self,
-        work: WorkRequest,
-        configurations: List[Configuration],
-        machine: "Machine",
-        entries: List[_CellEntry],
-        memo_hits: int = 0,
-        memo_misses: int = 0,
-    ) -> None:
-        self.work = work
-        self.configurations = configurations
-        self.memo_hits = memo_hits
-        self.memo_misses = memo_misses
-        self._machine = machine
-        self._entries = entries
-        self._results: List[Optional[ExecutionResult]] = [None] * len(entries)
-        self._assign_metric_arrays(entries)
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def metric_by_name(self, metric: str) -> Dict[str, float]:
-        """``{configuration name: metric value}`` for one metric.
-
-        Duplicate configuration names resolve to their *first* occurrence,
-        consistently with :meth:`index_of` / :meth:`result_for`.
-        """
-        values = self.metric(metric)
-        by_name: Dict[str, float] = {}
-        for i, c in enumerate(self.configurations):
-            by_name.setdefault(c.name, float(values[i]))
-        return by_name
-
-    def best(self, metric: str = "time_seconds", minimize: bool = True) -> Configuration:
-        """The best configuration of the batch under ``metric``."""
-        values = self.metric(metric)
-        index = int(np.argmin(values) if minimize else np.argmax(values))
-        return self.configurations[index]
-
-    def result(self, index: int) -> ExecutionResult:
-        """Materialize the full :class:`ExecutionResult` of one cell."""
-        cached = self._results[index]
-        if cached is None:
-            cached = self._machine._materialize_result(
-                self.work, self.configurations[index], self._entries[index]
-            )
-            self._results[index] = cached
-        return cached
-
-    def result_for(self, name: str) -> ExecutionResult:
-        """Materialize the full result of the configuration named ``name``."""
-        return self.result(self.index_of(name))
-
-    def results(self) -> List[ExecutionResult]:
-        """Materialize every cell (input order)."""
-        return [self.result(i) for i in range(len(self._entries))]
-
-
-class GridExecutionResult(_ExecutionArrays):
-    """Vectorized outcome of executing many phases under many configurations.
-
-    Produced by :meth:`Machine.execute_grid`.  Metric arrays have shape
-    ``(W, C)`` — row ``w`` is work (phase) ``w``, column ``c`` is
-    configuration ``c`` — so a whole benchmark's oracle table, or the phases
-    of several benchmarks at once, come out of one kernel pass.  Full
-    :class:`ExecutionResult` objects are materialized lazily per cell via
-    :meth:`result`, and :meth:`row` adapts one work row into the familiar
-    :class:`BatchExecutionResult` interface.
-
-    Attributes
-    ----------
-    works:
-        The executed phase characterizations, in input (row) order.
-    configurations:
-        The evaluated configurations, in input (column) order.
-    time_seconds, cycles, instructions, ipc, power_watts, frequency_ghz,
-    bus_utilization:
-        ``(W, C)`` metric arrays.
-    memo_hits, memo_misses:
-        How many cells of *this call* were served from the machine's
-        execution memo versus actually simulated.
-    """
-
-    def __init__(
-        self,
-        works: List[WorkRequest],
-        configurations: List[Configuration],
-        machine: "Machine",
-        entries: List[_CellEntry],
-        memo_hits: int = 0,
-        memo_misses: int = 0,
-        hit_flags: Optional[List[bool]] = None,
-    ) -> None:
-        self.works = works
-        self.configurations = configurations
-        self.memo_hits = memo_hits
-        self.memo_misses = memo_misses
-        self._machine = machine
-        self._entries = entries  # flat, row-major: entry of (w, c) at w * C + c
-        self._hit_flags = hit_flags  # aligned with entries; None = all computed
-        self._results: Dict[Tuple[int, int], ExecutionResult] = {}
-        self._assign_metric_arrays(entries, shape=(len(works), len(configurations)))
-
-    # ------------------------------------------------------------------
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """``(num works, num configurations)``."""
-        return (len(self.works), len(self.configurations))
-
-    def __len__(self) -> int:
-        """Total number of grid cells (works × configurations)."""
-        return len(self._entries)
-
     def best(
         self, metric: str = "time_seconds", minimize: bool = True
     ) -> List[Configuration]:
@@ -603,28 +496,6 @@ class GridExecutionResult(_ExecutionArrays):
     def result_for(self, work_index: int, name: str) -> ExecutionResult:
         """Materialize one cell addressed by configuration name."""
         return self.result(work_index, self.index_of(name))
-
-    def row(self, work_index: int) -> BatchExecutionResult:
-        """One work row as a :class:`BatchExecutionResult` (shares entries).
-
-        The row view carries this call's per-cell memo accounting sliced to
-        the row, so ``row(w).memo_hits + row(w).memo_misses == C``.
-        """
-        num_configs = len(self.configurations)
-        start = work_index * num_configs
-        row_hits = (
-            sum(self._hit_flags[start : start + num_configs])
-            if self._hit_flags is not None
-            else 0
-        )
-        return BatchExecutionResult(
-            work=self.works[work_index],
-            configurations=self.configurations,
-            machine=self._machine,
-            entries=self._entries[start : start + num_configs],
-            memo_hits=row_hits,
-            memo_misses=num_configs - row_hits,
-        )
 
 
 class Machine:
@@ -655,18 +526,18 @@ class Machine:
         distance to the true root).
     memo_size:
         Capacity (in cells) of the machine's noise-free execution memo,
-        used by :meth:`execute_batch` and :meth:`execute_grid`; ``0``
-        disables memoization.  The memo is private to the machine instance
-        (two machines built with different noise/power/CPU parameters never
-        share cached cells) unless snapshots are exchanged explicitly, e.g.
-        through a :class:`~repro.store.MemoStore`.  The same capacity
-        bounds the journal of newly simulated cells
-        (:meth:`drain_new_cells`), which drops its oldest cell when full.
+        used by :meth:`execute_grid`; ``0`` disables memoization.  The memo
+        is private to the machine instance (two machines built with
+        different noise/power/CPU parameters never share cached cells)
+        unless snapshots are exchanged explicitly, e.g. through a
+        :class:`~repro.store.MemoStore`.  The same capacity bounds the
+        journal of newly simulated cells (:meth:`drain_new_cells`), which
+        drops its oldest cell when full.
 
     The fixed point is resolved by the safeguarded Newton/secant solver of
     :mod:`repro.machine.fixedpoint`; its cost is tracked in
     ``solver_iterations`` / ``solver_evaluations`` and surfaced via
-    :meth:`execution_memo_info`.  Batched/grid calls with fewer than
+    :meth:`execution_memo_info`.  Grid calls with fewer than
     ``DEFAULT_SMALL_BATCH_CUTOFF`` cold cells are served through the
     memoized scalar path instead of the vectorized kernel, whose fixed
     setup cost only amortizes across enough cells; memo-bypassing calls
@@ -714,17 +585,14 @@ class Machine:
         self._memo_misses = 0
         self._validated_placements: set = set()
         self._config_statics: Dict[Configuration, _ConfigStatic] = {}
-        #: Number of :meth:`execute_batch` calls / cells served / cells that
-        #: were actually simulated (by either vectorized kernel or the
+        #: Number of :meth:`execute_grid` calls / grid cells served / cells
+        #: that were actually simulated (by the vectorized kernel or the
         #: small-batch scalar short-circuit; the remainder came from the memo).
-        self.batch_calls = 0
-        self.batch_cells = 0
-        self.batch_cells_computed = 0
-        #: Number of :meth:`execute_grid` calls / grid cells served.
         self.grid_calls = 0
         self.grid_cells = 0
-        #: Number of batched/grid calls whose cold cells were served through
-        #: the memoized scalar path (see ``DEFAULT_SMALL_BATCH_CUTOFF``).
+        self.batch_cells_computed = 0
+        #: Number of grid calls whose cold cells were served through the
+        #: memoized scalar path (see ``DEFAULT_SMALL_BATCH_CUTOFF``).
         self.small_batch_shortcircuits = 0
         #: Fixed-point solver cost: steps taken and model evaluations
         #: (scalar ``implied(u)`` probes or full-width kernel sweeps)
@@ -1197,9 +1065,8 @@ class Machine:
         """Simulate a flat list of (work, configuration) cells in one pass.
 
         Row ``i`` of the kernel is the pair ``(works[work_rows[i]],
-        configs[config_rows[i]])``, so one kernel launch serves both a
-        one-phase configuration batch (``work_rows`` all zero) and a full
-        phase × configuration grid (row-major cell order), including the
+        configs[config_rows[i]])``, so one kernel launch serves a full
+        phase × configuration grid (row-major cell order) as well as the
         ragged miss sets a partially warm memo leaves behind.
 
         The arithmetic vectorizes :meth:`execute` operation for operation —
@@ -1532,61 +1399,6 @@ class Machine:
             pstates=config.pstate_vector,
         )
 
-    def execute_batch(
-        self,
-        work: WorkRequest,
-        configurations: Optional[Sequence[Configuration | ThreadPlacement]] = None,
-        apply_noise: bool = False,
-        use_memo: bool = True,
-    ) -> BatchExecutionResult:
-        """Execute one phase under many configurations in one NumPy pass.
-
-        The batched engine vectorizes everything :meth:`execute` composes —
-        cache miss-ratio evaluation, the per-thread CPI stacks, the
-        throughput/bus fixed point (resolved by the shared safeguarded
-        solver simultaneously for every configuration, with a per-row
-        convergence mask retiring converged lanes) and the power model —
-        so evaluating a whole configuration space costs one array pass
-        instead of one Python traversal per configuration.  Noise-free
-        results match looped :meth:`execute` calls to floating-point
-        accuracy.
-
-        Parameters
-        ----------
-        work:
-            Phase characterization.
-        configurations:
-            Configurations (or raw placements) to evaluate; defaults to the
-            machine's full placement × P-state cross-product
-            (:meth:`default_configurations`).
-        apply_noise:
-            Apply the machine's run-to-run noise term, drawing one jitter
-            per cell from the machine RNG in input order (the same stream a
-            sequence of noisy :meth:`execute` calls would consume).  Noisy
-            cells are never memoized.
-        use_memo:
-            Serve noise-free cells from (and record them into) the
-            machine's execution memo, keyed by
-            ``(work fingerprint, placement cores, P-state)``, so repeated
-            sweeps — oracle construction, training collection — never
-            simulate the same cell twice.  ``False`` bypasses the memo
-            entirely (neither reads nor writes).
-        """
-        configs = self._normalize_configurations(configurations, "execute_batch")
-        self.batch_calls += 1
-        self.batch_cells += len(configs)
-        entries, hits, misses, _ = self._serve_cells(
-            [work], configs, apply_noise, use_memo
-        )
-        return BatchExecutionResult(
-            work=work,
-            configurations=configs,
-            machine=self,
-            entries=entries,
-            memo_hits=hits,
-            memo_misses=misses,
-        )
-
     def execute_grid(
         self,
         works: Sequence[WorkRequest],
@@ -1596,16 +1408,19 @@ class Machine:
     ) -> GridExecutionResult:
         """Execute many phases under many configurations in one NumPy pass.
 
-        The 2-D grid generalizes :meth:`execute_batch` across the phase
-        axis: all of a benchmark's phases (or the phases of several
-        benchmarks stacked together) and a whole configuration space are
-        simulated in a single kernel launch, with the throughput/bus fixed
-        point resolved simultaneously for every (work, configuration) cell
-        by the shared safeguarded solver.
-        Oracle-table construction and training-data collection therefore
-        pay one kernel launch per benchmark instead of one per phase.
-        Noise-free results match looped :meth:`execute` calls to
-        floating-point accuracy, cell for cell.
+        The kernel vectorizes everything :meth:`execute` composes — cache
+        miss-ratio evaluation, the per-thread CPI stacks, the throughput/bus
+        fixed point (resolved by the shared safeguarded solver
+        simultaneously for every (work, configuration) cell, with a per-row
+        convergence mask retiring converged lanes) and the power model — so
+        all of a benchmark's phases (or the phases of several benchmarks
+        stacked together) under a whole configuration space cost one array
+        pass instead of one Python traversal per cell.  Oracle-table
+        construction and training-data collection therefore pay one kernel
+        launch per benchmark instead of one per phase; a one-phase sweep is
+        ``execute_grid([work])``, read at row 0.  Noise-free results match
+        looped :meth:`execute` calls to floating-point accuracy, cell for
+        cell.
 
         Parameters
         ----------
@@ -1622,36 +1437,16 @@ class Machine:
             calls would consume).  Noisy cells are never memoized.
         use_memo:
             Serve noise-free cells from (and record them into) the
-            machine's execution memo; only the cells still missing are
-            simulated.  ``False`` bypasses the memo entirely.
+            machine's execution memo, keyed by
+            ``(work fingerprint, placement cores, P-state)``, so repeated
+            sweeps — oracle construction, training collection — never
+            simulate the same cell twice; only the cells still missing are
+            simulated.  ``False`` bypasses the memo entirely (neither reads
+            nor writes).
         """
         works = list(works)
         if not works:
             raise ValueError("execute_grid needs at least one work request")
-        configs = self._normalize_configurations(configurations, "execute_grid")
-        self.grid_calls += 1
-        self.grid_cells += len(works) * len(configs)
-        entries, hits, misses, hit_flags = self._serve_cells(
-            works, configs, apply_noise, use_memo
-        )
-        return GridExecutionResult(
-            works=works,
-            configurations=configs,
-            machine=self,
-            entries=entries,
-            memo_hits=hits,
-            memo_misses=misses,
-            hit_flags=hit_flags,
-        )
-
-    # ------------------------------------------------------------------
-    # shared cell-serving machinery (memo, short-circuit, kernel dispatch)
-    # ------------------------------------------------------------------
-    def _normalize_configurations(
-        self,
-        configurations: Optional[Sequence[Configuration | ThreadPlacement]],
-        caller: str,
-    ) -> List[Configuration]:
         if configurations is None:
             configurations = self.default_configurations()
         configs: List[Configuration] = [
@@ -1661,18 +1456,31 @@ class Machine:
             for c in configurations
         ]
         if not configs:
-            raise ValueError(f"{caller} needs at least one configuration")
+            raise ValueError("execute_grid needs at least one configuration")
         for config in configs:
             self._validate_placement(config.placement)
-        return configs
+        self.grid_calls += 1
+        self.grid_cells += len(works) * len(configs)
+        entries, hits, misses = self._serve_cells(works, configs, apply_noise, use_memo)
+        return GridExecutionResult(
+            works=works,
+            configurations=configs,
+            machine=self,
+            entries=entries,
+            memo_hits=hits,
+            memo_misses=misses,
+        )
 
+    # ------------------------------------------------------------------
+    # cell-serving machinery (memo, short-circuit, kernel dispatch)
+    # ------------------------------------------------------------------
     def _serve_cells(
         self,
         works: List[WorkRequest],
         configs: List[Configuration],
         apply_noise: bool,
         use_memo: bool,
-    ) -> Tuple[List[_CellEntry], int, int, Optional[List[bool]]]:
+    ) -> Tuple[List[_CellEntry], int, int]:
         """Serve the row-major (work × configuration) cell list.
 
         Cells already in the memo are returned directly; the remainder are
@@ -1682,19 +1490,16 @@ class Machine:
         Cold cells with identical memo keys (duplicate configurations, or
         equal-valued works) are simulated once and shared — the copies
         count as hits (they are served from the just-recorded cell), so
-        ``misses`` always equals the number of cells actually simulated.  Returns ``(entries, hits, misses,
-        hit_flags)`` where ``hit_flags[i]`` marks cells served from the
-        memo (``None`` when the memo was bypassed).
+        ``misses`` always equals the number of cells actually simulated.
+        Returns ``(entries, hits, misses)``.
         """
         num_configs = len(configs)
         total = len(works) * num_configs
         memo_enabled = use_memo and not apply_noise and self.memo_size > 0
         entries: List[Optional[_CellEntry]] = [None] * total
         keys: List[tuple] = []
-        hit_flags: Optional[List[bool]] = None
         hits = 0
         if memo_enabled:
-            hit_flags = [False] * total
             config_keys = [
                 (c.placement.cores, self._pstate_key(c)) for c in configs
             ]
@@ -1708,7 +1513,6 @@ class Machine:
                 if cached is not None:
                     self._memo.move_to_end(key)
                     entries[i] = cached
-                    hit_flags[i] = True
                     hits += 1
             self._memo_hits += hits
 
@@ -1765,14 +1569,13 @@ class Machine:
                         self._journal.popitem(last=False)
                 for i, first in duplicate_of.items():
                     entries[i] = entries[first]
-                    hit_flags[i] = True
                 hits += len(duplicate_of)
                 self._memo_hits += len(duplicate_of)
             else:
                 for i, entry in zip(unique_indices, computed):
                     entries[i] = entry
         misses = len(miss_indices) - (len(duplicate_of) if miss_indices else 0)
-        return entries, hits, misses, hit_flags  # type: ignore[return-value]
+        return entries, hits, misses  # type: ignore[return-value]
 
     def _execute_scalar_cell(
         self, work: WorkRequest, config: Configuration

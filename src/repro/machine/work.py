@@ -180,7 +180,7 @@ class WorkRequest:
 
         Two requests built independently with equal field values share
         cached noise-free executions in the machine's execution memo (see
-        :meth:`repro.machine.Machine.execute_batch`).  Derived from the
+        :meth:`repro.machine.Machine.execute_grid`).  Derived from the
         dataclass schema so a future field automatically becomes part of
         the identity — hand-listing fields here would silently alias memo
         cells across works that differ only in the new field.

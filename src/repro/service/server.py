@@ -73,10 +73,15 @@ def parse_request_line(line: bytes) -> Request:
             f"request must be a JSON object, got {type(payload).__name__}"
         )
     kind = payload.get("kind", "phase_sample")
-    if kind == "phase_sample":
-        return PhaseSampleRequest.from_payload(payload)
-    if kind == "grid_probe":
-        return GridProbeRequest.from_payload(payload)
+    try:
+        if kind == "phase_sample":
+            return PhaseSampleRequest.from_payload(payload)
+        if kind == "grid_probe":
+            return GridProbeRequest.from_payload(payload)
+    except OverflowError as exc:
+        # ``json`` keeps an integer literal exact, so one past the largest
+        # float (say ``1`` and 400 zeros) overflows ``float()``.
+        raise ValueError(f"request has a number too large for a float: {exc}") from exc
     raise ValueError(f"unknown request kind {kind!r}")
 
 

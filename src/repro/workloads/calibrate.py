@@ -46,13 +46,13 @@ def seconds_per_instruction(
     """
     machine = machine or calibration_machine()
     probe = replace(work, instructions=_PROBE_INSTRUCTIONS)
-    # Through the memoized batch path: a one-cell call takes the scalar
+    # Through the memoized grid path: a one-cell call takes the scalar
     # short-circuit (bit-identical to `machine.execute`), and the probe cell
     # lands in the machine's execution memo — so a machine seeded from a
     # memo store recalibrates a suite without re-simulating a single probe
     # (see `run_cells(..., memo_store=...)`).
-    batch = machine.execute_batch(probe, [CONFIG_1])
-    return float(batch.time_seconds[0]) / probe.instructions
+    grid = machine.execute_grid([probe], [CONFIG_1])
+    return float(grid.time_seconds[0, 0]) / probe.instructions
 
 
 def calibrate_phases(

@@ -1,10 +1,10 @@
-"""Tests for the fleet layer: nodes, registries, the scheduler, memo sharing.
+"""Tests for the fleet layer: nodes, membership, the scheduler, memo sharing.
 
 The cluster package's core guarantee is bit-reproducibility: the same
 fleet + jobs + cap must yield an identical schedule across repeated calls
 and across process restarts through the shared
 :class:`~repro.store.MemoStore`.  These tests pin that guarantee along
-with the registry semantics and the scheduler's structural invariants;
+with the membership semantics and the scheduler's structural invariants;
 the randomized counterparts live in ``test_cluster_properties.py``.
 """
 
@@ -17,7 +17,6 @@ from repro.cluster import (
     FleetJob,
     FleetScheduler,
     Node,
-    NodeRegistry,
     PowerCapInfeasibleError,
     jobs_from_workload,
 )
@@ -45,34 +44,33 @@ def _make_fleet():
     )
 
 
-class TestNodeRegistry:
-    def test_register_lookup_and_sorted_iteration(self):
-        registry = NodeRegistry()
+class TestFleetMembership:
+    def test_add_lookup_and_sorted_iteration(self):
+        fleet = Fleet()
         for name in ("zulu", "alpha", "mike"):
-            registry.register(Node(name, Machine(noise_sigma=0.0)))
-        assert registry.names() == ["alpha", "mike", "zulu"]
-        assert [node.name for node in registry] == ["alpha", "mike", "zulu"]
-        assert registry.get("mike").name == "mike"
-        assert "zulu" in registry and "nope" not in registry
+            fleet.add(Node(name, Machine(noise_sigma=0.0)))
+        assert fleet.names() == ["alpha", "mike", "zulu"]
+        assert [node.name for node in fleet] == ["alpha", "mike", "zulu"]
+        assert fleet.node("mike").name == "mike"
+        assert "zulu" in fleet and "nope" not in fleet
 
-    def test_duplicate_registration_is_an_error(self):
-        registry = NodeRegistry()
-        registry.register(Node("alpha", Machine(noise_sigma=0.0)))
+    def test_duplicate_name_is_an_error(self):
+        fleet = Fleet([Node("alpha", Machine(noise_sigma=0.0))])
         with pytest.raises(ValueError, match="already registered"):
-            registry.register(Node("alpha", Machine(noise_sigma=0.0)))
+            fleet.add(Node("alpha", Machine(noise_sigma=0.0)))
 
-    def test_unknown_lookup_and_unregister_raise(self):
-        registry = NodeRegistry()
+    def test_unknown_lookup_and_remove_raise(self):
+        fleet = Fleet([Node("alpha", Machine(noise_sigma=0.0))])
+        with pytest.raises(KeyError, match=r"no node 'ghost'.*known: \['alpha'\]"):
+            fleet.node("ghost")
         with pytest.raises(KeyError, match="no node 'ghost'"):
-            registry.get("ghost")
-        with pytest.raises(KeyError, match="no node 'ghost'"):
-            registry.unregister("ghost")
+            fleet.remove("ghost")
 
-    def test_unregister_returns_the_node(self):
-        registry = NodeRegistry()
-        node = registry.register(Node("alpha", Machine(noise_sigma=0.0)))
-        assert registry.unregister("alpha") is node
-        assert len(registry) == 0
+    def test_remove_returns_the_node(self):
+        fleet = Fleet()
+        node = fleet.add(Node("alpha", Machine(noise_sigma=0.0)))
+        assert fleet.remove("alpha") is node
+        assert len(fleet) == 0
 
 
 class TestNode:

@@ -9,7 +9,6 @@ from repro.core import (
     OracleGlobalPolicy,
     OraclePhasePolicy,
     PredictionPolicy,
-    RegressionPolicy,
     SearchPolicy,
     StaticPolicy,
     measure_oracle,
@@ -139,7 +138,7 @@ class TestPredictionPolicy:
         linear_bundle = train_predictor_bundle(
             machine, mini_training_workloads, options=fast_options, linear=True
         )
-        policy = RegressionPolicy(linear_bundle)
+        policy = PredictionPolicy(linear_bundle)
         assert policy.name == "regression"
 
 

@@ -303,7 +303,7 @@ class TestMemoSemanticsAcrossSolvers:
             with solver_mode(solver):
                 machine.execute_grid(works, cross)  # cold: all misses
                 machine.execute_grid(works, cross)  # warm: all hits
-                machine.execute_batch(works[0], cross[:3])  # warm subset
+                machine.execute_grid([works[0]], cross[:3])  # warm subset
             info = machine.execution_memo_info()
             results[solver] = (
                 tuple(machine.export_execution_memo().keys()),
@@ -327,7 +327,7 @@ class TestMemoSemanticsAcrossSolvers:
         # At least the bracketing u=0 evaluation must have been counted.
         assert info.solver_evaluations >= 1
         assert info.solver_evaluations >= info.solver_iterations
-        machine.execute_batch(work)
+        machine.execute_grid([work])
         after = machine.execution_memo_info()
         assert after.solver_evaluations > info.solver_evaluations
 

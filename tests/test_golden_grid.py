@@ -1,7 +1,7 @@
 """Golden pinned-seed regressions locking the grid-rewired pipelines.
 
 The literal values below were originally captured from the pre-grid
-(per-phase ``execute_batch``) implementations of :func:`build_oracle_table`
+(one sweep per phase) implementations of :func:`build_oracle_table`
 and :func:`collect_training_dataset` at pinned seeds, and re-pinned under
 the default safeguarded Newton fixed-point solver at its 1e-9 tolerance
 (PR 8) after the newton-vs-bisect equivalence suite in

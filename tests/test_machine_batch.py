@@ -1,12 +1,14 @@
-"""Equivalence tests for the vectorized batch execution engine.
+"""Equivalence tests for one-phase sweeps: one-row ``Machine.execute_grid``.
 
-``Machine.execute_batch`` must reproduce looped ``Machine.execute`` calls to
-tight tolerance across the full placement × P-state cross-product — for the
-headline metric arrays, the lazily materialized :class:`ExecutionResult`
-objects and the synthesized hardware event counts — on every NAS workload
-phase.  The batch engine is the foundation of oracle construction and
-training collection, so any divergence here silently corrupts everything
-downstream.
+A sweep of one phase over a configuration space is a one-row grid,
+``execute_grid([work], configs)`` read at row 0 — the shape that workload
+calibration and training collection issue, and the one
+``benchmarks/bench_machine_batch.py`` times.  It must reproduce looped
+``Machine.execute`` calls to tight tolerance across the full placement ×
+P-state cross-product — for the headline metric arrays, the lazily
+materialized :class:`ExecutionResult` objects and the synthesized hardware
+event counts — on every NAS workload phase.  Multi-row grids are covered by
+``test_machine_grid.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.machine import (
 )
 from repro.machine.topology import dual_socket_xeon
 
-#: Relative tolerance for batch-vs-loop equivalence.  The vectorized kernel
+#: Relative tolerance for sweep-vs-loop equivalence.  The vectorized kernel
 #: mirrors the scalar arithmetic operation for operation, so agreement is
 #: at the last-ulp level; 1e-12 leaves margin for platform libm differences.
 _RTOL = 1e-12
@@ -76,67 +78,67 @@ class TestCrossProductEquivalence:
     def test_every_nas_phase_matches_looped_execute(
         self, machine, suite, cross_product
     ):
-        """Noise-free batch == loop across the whole suite × cross-product."""
-        batch_machine = Machine(noise_sigma=0.0)
+        """Noise-free one-row sweep == loop across the suite × cross-product."""
+        sweep_machine = Machine(noise_sigma=0.0)
         for workload in suite:
             for phase in workload.phases:
-                batch = batch_machine.execute_batch(
-                    phase.work, cross_product, use_memo=False
+                sweep = sweep_machine.execute_grid(
+                    [phase.work], cross_product, use_memo=False
                 )
-                assert len(batch) == len(cross_product)
+                assert sweep.shape == (1, len(cross_product))
                 for index, config in enumerate(cross_product):
                     reference = machine.execute(
                         phase.work, config, apply_noise=False
                     )
-                    assert float(batch.time_seconds[index]) == pytest.approx(
+                    assert float(sweep.time_seconds[0, index]) == pytest.approx(
                         reference.time_seconds, rel=_RTOL
                     ), (workload.name, phase.name, config.name)
-                    assert float(batch.ipc[index]) == pytest.approx(
+                    assert float(sweep.ipc[0, index]) == pytest.approx(
                         reference.ipc, rel=_RTOL
                     )
-                    assert float(batch.power_watts[index]) == pytest.approx(
+                    assert float(sweep.power_watts[0, index]) == pytest.approx(
                         reference.power_watts, rel=_RTOL
                     )
 
     def test_materialized_results_match_in_full(self, machine, suite, cross_product):
         """Lazily materialized ExecutionResults agree field by field."""
         work = suite.get("SP").phases[0].work
-        batch = machine.execute_batch(work, cross_product, use_memo=False)
+        sweep = machine.execute_grid([work], cross_product, use_memo=False)
         for index, config in enumerate(cross_product):
             reference = machine.execute(work, config, apply_noise=False)
-            _assert_result_equivalent(reference, batch.result(index))
+            _assert_result_equivalent(reference, sweep.result(0, index))
 
     def test_default_configurations_are_the_cross_product(
         self, machine, cross_product
     ):
-        batch = machine.execute_batch(WorkRequest(instructions=1.5e8), use_memo=False)
-        assert batch.names() == [c.name for c in cross_product]
+        sweep = machine.execute_grid(
+            [WorkRequest(instructions=1.5e8)], use_memo=False
+        )
+        assert sweep.names() == [c.name for c in cross_product]
 
     def test_heterogeneous_thread_counts_on_dual_socket(self, suite):
-        """Padded rows (1..8 threads) match the scalar path on 8 cores."""
+        """Padded cells (1..8 threads) match the scalar path on 8 cores."""
         topology = dual_socket_xeon()
         machine = Machine(topology=topology, noise_sigma=0.0)
         configs = enumerate_configurations(topology)
         work = suite.get("IS").phases[0].work
-        batch = machine.execute_batch(work, configs, use_memo=False)
+        sweep = machine.execute_grid([work], configs, use_memo=False)
         for index, config in enumerate(configs):
             reference = machine.execute(work, config, apply_noise=False)
-            _assert_result_equivalent(reference, batch.result(index))
+            _assert_result_equivalent(reference, sweep.result(0, index))
 
     def test_noisy_batch_consumes_the_scalar_rng_stream(self, suite, cross_product):
         """apply_noise=True draws one jitter per cell, in input order."""
         work = suite.get("CG").phases[0].work
         loop_machine = Machine(seed=911, noise_sigma=0.01)
-        batch_machine = Machine(seed=911, noise_sigma=0.01)
+        sweep_machine = Machine(seed=911, noise_sigma=0.01)
         looped = [
             loop_machine.execute(work, config, apply_noise=True)
             for config in cross_product
         ]
-        batch = batch_machine.execute_batch(
-            work, cross_product, apply_noise=True
-        )
+        sweep = sweep_machine.execute_grid([work], cross_product, apply_noise=True)
         for index, reference in enumerate(looped):
-            assert float(batch.time_seconds[index]) == pytest.approx(
+            assert float(sweep.time_seconds[0, index]) == pytest.approx(
                 reference.time_seconds, rel=_RTOL
             )
 
@@ -144,71 +146,61 @@ class TestCrossProductEquivalence:
 class TestBatchResultInterface:
     def test_accepts_raw_placements(self, machine, compute_work):
         placement = ThreadPlacement((0, 2))
-        batch = machine.execute_batch(compute_work, [placement], use_memo=False)
+        sweep = machine.execute_grid([compute_work], [placement], use_memo=False)
         reference = machine.execute(compute_work, placement, apply_noise=False)
-        assert float(batch.time_seconds[0]) == pytest.approx(
+        assert float(sweep.time_seconds[0, 0]) == pytest.approx(
             reference.time_seconds, rel=_RTOL
         )
 
     def test_empty_configuration_list_rejected(self, machine, compute_work):
         with pytest.raises(ValueError):
-            machine.execute_batch(compute_work, [])
+            machine.execute_grid([compute_work], [])
 
     def test_unknown_core_rejected(self, machine, compute_work):
         with pytest.raises(KeyError):
-            machine.execute_batch(compute_work, [ThreadPlacement((0, 9))])
+            machine.execute_grid([compute_work], [ThreadPlacement((0, 9))])
 
     def test_metric_and_lookup_helpers(self, machine, compute_work, cross_product):
-        batch = machine.execute_batch(compute_work, cross_product)
-        by_name = batch.metric_by_name("time_seconds")
-        assert set(by_name) == {c.name for c in cross_product}
-        index = batch.index_of("2b@1.6GHz")
-        assert by_name["2b@1.6GHz"] == float(batch.time_seconds[index])
+        sweep = machine.execute_grid([compute_work], cross_product)
+        times = sweep.metric("time_seconds")
+        assert times.shape == (1, len(cross_product))
+        index = sweep.index_of("2b@1.6GHz")
+        assert sweep.names()[index] == "2b@1.6GHz"
+        assert sweep.result_for(0, "2b@1.6GHz").time_seconds == float(
+            times[0, index]
+        )
         with pytest.raises(KeyError):
-            batch.index_of("nonexistent")
+            sweep.index_of("nonexistent")
         with pytest.raises(KeyError):
-            batch.metric("not_a_metric")
-
-    def test_duplicate_names_resolve_to_first_occurrence(
-        self, machine, compute_work
-    ):
-        """index_of, result_for and metric_by_name agree on duplicates."""
-        from repro.machine import CONFIG_2B, Configuration
-
-        low = Configuration(
-            "2b", CONFIG_2B.placement, list(machine.pstate_table)[-1]
-        )
-        batch = machine.execute_batch(compute_work, [CONFIG_2B, low], use_memo=False)
-        assert batch.index_of("2b") == 0
-        assert batch.metric_by_name("time_seconds")["2b"] == float(
-            batch.time_seconds[0]
-        )
-        assert batch.result_for("2b").frequency_ghz == float(
-            batch.frequency_ghz[0]
-        )
+            sweep.metric("not_a_metric")
 
     def test_derived_metric_arrays_are_consistent(
         self, machine, compute_work, cross_product
     ):
-        batch = machine.execute_batch(compute_work, cross_product)
+        sweep = machine.execute_grid([compute_work], cross_product)
         assert np.allclose(
-            batch.energy_joules, batch.power_watts * batch.time_seconds
+            sweep.energy_joules, sweep.power_watts * sweep.time_seconds
         )
-        assert np.allclose(batch.edp, batch.energy_joules * batch.time_seconds)
+        assert np.allclose(sweep.edp, sweep.energy_joules * sweep.time_seconds)
         assert np.allclose(
-            batch.ed2, batch.energy_joules * batch.time_seconds ** 2
+            sweep.ed2, sweep.energy_joules * sweep.time_seconds ** 2
         )
 
     def test_best_matches_argmin_of_loop(self, machine, compute_work, cross_product):
-        batch = machine.execute_batch(compute_work, cross_product)
+        sweep = machine.execute_grid([compute_work], cross_product)
         times = {
             c.name: machine.execute(compute_work, c, apply_noise=False).time_seconds
             for c in cross_product
         }
-        assert batch.best("time_seconds").name == min(times, key=times.get)
+        (best,) = sweep.best("time_seconds")
+        assert best.name == min(times, key=times.get)
 
     def test_results_materialize_every_cell_once(self, machine, compute_work):
-        batch = machine.execute_batch(compute_work, [CONFIG_2B, CONFIG_4])
-        results = batch.results()
+        sweep = machine.execute_grid([compute_work], [CONFIG_2B, CONFIG_4])
+        results = [sweep.result(0, index) for index in range(len(sweep))]
         assert len(results) == 2
-        assert results[0] is batch.result(0)  # cached, not rebuilt
+        assert [r.placement for r in results] == [
+            CONFIG_2B.placement,
+            CONFIG_4.placement,
+        ]
+        assert results[0] is sweep.result(0, 0)  # cached, not rebuilt

@@ -112,7 +112,3 @@ class TestPlacementResolution:
         tight = cache_model.mean_miss_ratio(work, ThreadPlacement((0, 1)))
         loose = cache_model.mean_miss_ratio(work, ThreadPlacement((0, 2)))
         assert tight == pytest.approx(loose, rel=0.15)
-
-    def test_l1_miss_ratio_passthrough(self, cache_model):
-        work = WorkRequest(instructions=1e8, l1_miss_rate=0.07)
-        assert cache_model.l1_miss_ratio(work) == pytest.approx(0.07)

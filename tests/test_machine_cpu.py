@@ -68,11 +68,6 @@ class TestBreakdown:
         with pytest.raises(ValueError):
             cpu.breakdown(_work(), core, 0.5, -1.0, 14.0)
 
-    def test_ipc_helper_matches_breakdown(self, cpu, core):
-        assert cpu.ipc(_work(), core, 0.4, 180.0, 14.0) == pytest.approx(
-            cpu.breakdown(_work(), core, 0.4, 180.0, 14.0).ipc
-        )
-
 
 class TestConstructorValidation:
     def test_rejects_bad_misprediction_rate(self):

@@ -9,8 +9,6 @@ from repro.machine import (
     CONFIG_2B,
     CONFIG_4,
     Configuration,
-    CPUModel,
-    CPIBreakdown,
     Machine,
     PState,
     PStateTable,
@@ -335,19 +333,3 @@ class TestFrequencyAwareExecution:
         )
         assert throttled.result.frequency_ghz == pytest.approx(1.6)
         assert throttled.result.power_watts < nominal.result.power_watts
-
-
-class TestCPUFrequencyRescale:
-    def test_memory_component_scales_linearly(self):
-        bd = CPIBreakdown(base=0.5, l1_miss=0.1, l2_miss=0.6, branch=0.05)
-        scaled = CPUModel.rescale_breakdown(bd, 1.6 / 2.4)
-        assert scaled.base == bd.base
-        assert scaled.l1_miss == bd.l1_miss
-        assert scaled.branch == bd.branch
-        assert scaled.l2_miss == pytest.approx(0.6 * 1.6 / 2.4)
-        assert scaled.total < bd.total
-
-    def test_rejects_nonpositive_ratio(self):
-        bd = CPIBreakdown(base=0.5, l1_miss=0.1, l2_miss=0.6, branch=0.05)
-        with pytest.raises(ValueError):
-            CPUModel.rescale_breakdown(bd, 0.0)

@@ -31,6 +31,7 @@ from repro.machine import (
     CONFIG_4,
     BusState,
     CPIBreakdown,
+    Configuration,
     Machine,
     PowerBreakdown,
     ThreadPlacement,
@@ -108,6 +109,39 @@ def _assert_cell_matches(grid, wi, ci, reference, context):
         ), (attribute, *context)
 
 
+def _assert_result_matches(materialized, reference, context):
+    """A materialized grid cell agrees with ``execute`` field by field."""
+    assert materialized.pstate == reference.pstate, context
+    assert materialized.pstates == reference.pstates, context
+    assert materialized.frequency_ghz == reference.frequency_ghz, context
+    assert materialized.thread_ipcs == pytest.approx(
+        reference.thread_ipcs, rel=_RTOL
+    ), context
+    assert len(materialized.thread_cpi) == len(reference.thread_cpi)
+    for got, want in zip(materialized.thread_cpi, reference.thread_cpi):
+        for f in dataclass_fields(CPIBreakdown):
+            assert getattr(got, f.name) == pytest.approx(
+                getattr(want, f.name), rel=_RTOL
+            ), (*context, "cpi", f.name)
+    for f in dataclass_fields(BusState):
+        assert getattr(materialized.bus, f.name) == pytest.approx(
+            getattr(reference.bus, f.name), rel=_RTOL
+        ), (*context, "bus", f.name)
+    for f in dataclass_fields(PowerBreakdown):
+        if f.name != "components":
+            assert getattr(materialized.power, f.name) == pytest.approx(
+                getattr(reference.power, f.name), rel=_RTOL
+            ), (*context, "power", f.name)
+    assert materialized.power.components == pytest.approx(
+        reference.power.components, rel=_RTOL
+    ), context
+    assert set(materialized.event_counts) == set(reference.event_counts)
+    for event, value in reference.event_counts.items():
+        assert materialized.event_counts[event] == pytest.approx(
+            value, rel=_RTOL, abs=1e-9
+        ), (*context, event)
+
+
 class TestGridEquivalence:
     def test_every_nas_phase_row_matches_looped_execute(
         self, machine, suite, cross_product
@@ -131,16 +165,16 @@ class TestGridEquivalence:
                     grid, wi, ci, reference, (*labels[wi], config.name)
                 )
 
-    def test_grid_rows_equal_per_phase_batches(self, machine, suite, cross_product):
-        """Each grid row is bit-compatible with a one-phase execute_batch."""
+    def test_grid_rows_equal_one_row_grids(self, machine, suite, cross_product):
+        """Each grid row is bit-compatible with a one-phase, one-row grid."""
         works = [phase.work for phase in suite.get("CG").phases]
         grid = machine.execute_grid(works, cross_product, use_memo=False)
         for wi, work in enumerate(works):
-            batch = machine.execute_batch(work, cross_product, use_memo=False)
+            single = machine.execute_grid([work], cross_product, use_memo=False)
             for metric in ("time_seconds", "ipc", "power_watts", "ed2"):
                 np.testing.assert_allclose(
                     getattr(grid, metric)[wi],
-                    getattr(batch, metric),
+                    getattr(single, metric)[0],
                     rtol=_RTOL,
                 )
 
@@ -166,41 +200,14 @@ class TestGridEquivalence:
         grid = machine.execute_grid(works, configs, use_memo=False)
         for wi, work in enumerate(works):
             for ci, config in enumerate(configs):
-                context = (wi, config.name)
                 reference = machine.execute(work, config, apply_noise=False)
-                materialized = grid.result(wi, ci)
-                assert materialized.pstate == reference.pstate, context
-                assert materialized.pstates == reference.pstates, context
-                assert materialized.frequency_ghz == reference.frequency_ghz, context
-                assert materialized.thread_ipcs == pytest.approx(
-                    reference.thread_ipcs, rel=_RTOL
-                ), context
-                assert len(materialized.thread_cpi) == len(reference.thread_cpi)
-                for got, want in zip(materialized.thread_cpi, reference.thread_cpi):
-                    for f in dataclass_fields(CPIBreakdown):
-                        assert getattr(got, f.name) == pytest.approx(
-                            getattr(want, f.name), rel=_RTOL
-                        ), (*context, "cpi", f.name)
-                for f in dataclass_fields(BusState):
-                    assert getattr(materialized.bus, f.name) == pytest.approx(
-                        getattr(reference.bus, f.name), rel=_RTOL
-                    ), (*context, "bus", f.name)
-                for f in dataclass_fields(PowerBreakdown):
-                    if f.name != "components":
-                        assert getattr(materialized.power, f.name) == pytest.approx(
-                            getattr(reference.power, f.name), rel=_RTOL
-                        ), (*context, "power", f.name)
-                assert materialized.power.components == pytest.approx(
-                    reference.power.components, rel=_RTOL
-                ), context
-                assert set(materialized.event_counts) == set(reference.event_counts)
-                for event, value in reference.event_counts.items():
-                    assert materialized.event_counts[event] == pytest.approx(
-                        value, rel=_RTOL, abs=1e-9
-                    ), (*context, event)
+                _assert_result_matches(
+                    grid.result(wi, ci), reference, (wi, config.name)
+                )
 
     def test_heterogeneous_thread_counts_on_dual_socket(self, suite):
-        """Padded rows (1..8 threads) match the scalar path on 8 cores."""
+        """Padded rows (1..8 threads) match the scalar path on 8 cores,
+        metric arrays and materialized results alike."""
         from repro.machine import enumerate_configurations
 
         topology = dual_socket_xeon()
@@ -212,6 +219,9 @@ class TestGridEquivalence:
             for ci, config in enumerate(configs):
                 reference = machine.execute(work, config, apply_noise=False)
                 _assert_cell_matches(grid, wi, ci, reference, (wi, config.name))
+                _assert_result_matches(
+                    grid.result(wi, ci), reference, (wi, config.name)
+                )
 
     def test_noisy_grid_consumes_the_scalar_rng_stream(self, suite, cross_product):
         """apply_noise=True draws one jitter per cell, in row-major order."""
@@ -455,13 +465,21 @@ class TestGridInterface:
             }
             assert best[wi].name == min(times, key=times.get)
 
-    def test_row_adapter_returns_batch_view(self, machine, compute_work):
-        configs = [CONFIG_1, CONFIG_4]
-        grid = machine.execute_grid([compute_work], configs)
-        row = grid.row(0)
-        assert row.names() == ["1", "4"]
-        np.testing.assert_array_equal(row.time_seconds, grid.time_seconds[0])
-        assert row.result(1).ipc == grid.result(0, 1).ipc
+    def test_duplicate_names_resolve_to_first_occurrence(
+        self, machine, compute_work
+    ):
+        """index_of and result_for agree on duplicates."""
+        low = Configuration(
+            "2b", CONFIG_2B.placement, list(machine.pstate_table)[-1]
+        )
+        grid = machine.execute_grid(
+            [compute_work], [CONFIG_2B, low], use_memo=False
+        )
+        assert grid.index_of("2b") == 0
+        assert grid.result_for(0, "2b").frequency_ghz == float(
+            grid.frequency_ghz[0, 0]
+        )
+        assert float(grid.frequency_ghz[0, 0]) != float(grid.frequency_ghz[0, 1])
 
     def test_result_for_and_result_cache(self, machine, compute_work):
         grid = machine.execute_grid([compute_work], [CONFIG_2B, CONFIG_4])
@@ -504,17 +522,17 @@ class TestGridMemo:
         )
         np.testing.assert_array_equal(first.time_seconds, second.time_seconds)
 
-    def test_grid_reuses_cells_warmed_by_batches(
+    def test_grid_reuses_cells_warmed_by_one_row_grids(
         self, compute_work, bandwidth_work, cross_product
     ):
         """A ragged warm set: only the cold cells are simulated."""
         machine = Machine(noise_sigma=0.0)
-        warm = machine.execute_batch(compute_work, cross_product)
+        warm = machine.execute_grid([compute_work], cross_product)
         assert warm.memo_misses == len(cross_product)
         grid = machine.execute_grid([compute_work, bandwidth_work], cross_product)
         assert grid.memo_hits == len(cross_product)
         assert grid.memo_misses == len(cross_product)
-        np.testing.assert_array_equal(grid.time_seconds[0], warm.time_seconds)
+        np.testing.assert_array_equal(grid.time_seconds[0], warm.time_seconds[0])
         # The cold row (above the short-circuit cutoff) went through the
         # compacted kernel — only the works and configs with cold cells are
         # set up; values still match the scalar path.
@@ -525,17 +543,6 @@ class TestGridMemo:
             assert float(grid.time_seconds[1, ci]) == pytest.approx(
                 expected.time_seconds, rel=_RTOL
             )
-
-    def test_row_views_carry_per_row_memo_accounting(
-        self, compute_work, bandwidth_work
-    ):
-        machine = Machine(noise_sigma=0.0)
-        configs = standard_configurations(machine.topology)
-        machine.execute_batch(compute_work, configs)  # warm row 0 only
-        grid = machine.execute_grid([compute_work, bandwidth_work], configs)
-        warm_row, cold_row = grid.row(0), grid.row(1)
-        assert (warm_row.memo_hits, warm_row.memo_misses) == (len(configs), 0)
-        assert (cold_row.memo_hits, cold_row.memo_misses) == (0, len(configs))
 
     def test_duplicate_cold_cells_are_simulated_once(self, compute_work):
         machine = Machine(noise_sigma=0.0)
@@ -569,19 +576,19 @@ class TestSmallBatchShortCircuit:
         configs = standard_configurations(fresh.topology)
         assert len(configs) < DEFAULT_SMALL_BATCH_CUTOFF
         work = suite.get("SP").phases[0].work
-        batch = fresh.execute_batch(work, configs)
+        sweep = fresh.execute_grid([work], configs)
         assert fresh.small_batch_shortcircuits == 1
-        assert batch.memo_misses == len(configs)
+        assert sweep.memo_misses == len(configs)
         for ci, config in enumerate(configs):
             reference = machine.execute(work, config, apply_noise=False)
-            assert float(batch.time_seconds[ci]) == pytest.approx(
+            assert float(sweep.time_seconds[0, ci]) == pytest.approx(
                 reference.time_seconds, rel=_RTOL
             )
-            assert float(batch.power_watts[ci]) == pytest.approx(
+            assert float(sweep.power_watts[0, ci]) == pytest.approx(
                 reference.power_watts, rel=_RTOL
             )
         # Repeat sweeps are pure memo hits, no further scalar detours.
-        again = fresh.execute_batch(work, configs)
+        again = fresh.execute_grid([work], configs)
         assert again.memo_hits == len(configs)
         assert fresh.small_batch_shortcircuits == 1
 
@@ -591,7 +598,7 @@ class TestSmallBatchShortCircuit:
         fresh = Machine(noise_sigma=0.0)
         work = suite.get("SP").phases[0].work
         assert len(cross_product) >= DEFAULT_SMALL_BATCH_CUTOFF
-        fresh.execute_batch(work, cross_product)
+        fresh.execute_grid([work], cross_product)
         assert fresh.small_batch_shortcircuits == 0
 
     def test_grids_above_the_cutoff_use_the_kernel(self, suite, cross_product):
@@ -606,7 +613,7 @@ class TestSmallBatchShortCircuit:
         configs = standard_configurations(fresh.topology)
         assert len(configs) < DEFAULT_SMALL_BATCH_CUTOFF  # would short-circuit
         work = suite.get("SP").phases[0].work
-        fresh.execute_batch(work, configs, use_memo=False)
+        fresh.execute_grid([work], configs, use_memo=False)
         assert fresh.small_batch_shortcircuits == 0
 
     def test_single_cell_batches_avoid_the_kernel(self, suite):
@@ -616,6 +623,6 @@ class TestSmallBatchShortCircuit:
         wall-clock measurement belongs.)"""
         fresh = Machine(noise_sigma=0.0)
         for phase in suite.get("CG").phases:
-            fresh.execute_batch(phase.work, [CONFIG_4])
+            fresh.execute_grid([phase.work], [CONFIG_4])
         assert fresh.small_batch_shortcircuits == len(suite.get("CG").phases)
         assert fresh.batch_cells_computed == len(suite.get("CG").phases)

@@ -50,9 +50,9 @@ def phase_work():
 class TestMemoAccounting:
     def test_second_batch_is_all_hits(self, fresh_machine, phase_work):
         configs = standard_configurations(fresh_machine.topology)
-        first = fresh_machine.execute_batch(phase_work, configs)
+        first = fresh_machine.execute_grid([phase_work], configs)
         assert (first.memo_hits, first.memo_misses) == (0, len(configs))
-        second = fresh_machine.execute_batch(phase_work, configs)
+        second = fresh_machine.execute_grid([phase_work], configs)
         assert (second.memo_hits, second.memo_misses) == (len(configs), 0)
         info = fresh_machine.execution_memo_info()
         assert info.hits == len(configs)
@@ -61,19 +61,19 @@ class TestMemoAccounting:
 
     def test_memoized_cells_are_bit_identical(self, fresh_machine, phase_work):
         configs = standard_configurations(fresh_machine.topology)
-        first = fresh_machine.execute_batch(phase_work, configs)
-        second = fresh_machine.execute_batch(phase_work, configs)
-        assert list(first.time_seconds) == list(second.time_seconds)
-        assert first.result(0).event_counts == second.result(0).event_counts
+        first = fresh_machine.execute_grid([phase_work], configs)
+        second = fresh_machine.execute_grid([phase_work], configs)
+        assert list(first.time_seconds[0]) == list(second.time_seconds[0])
+        assert first.result(0, 0).event_counts == second.result(0, 0).event_counts
 
     def test_equal_value_works_share_cells(self, fresh_machine, phase_work):
         """Two WorkRequests with equal fields hit the same memo entries."""
         clone = WorkRequest(instructions=2.5e8, working_set_mb=6.0)
         assert clone is not phase_work
         assert clone.fingerprint() == phase_work.fingerprint()
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
-        batch = fresh_machine.execute_batch(clone, [CONFIG_4])
-        assert batch.memo_hits == 1
+        fresh_machine.execute_grid([phase_work], [CONFIG_4])
+        sweep = fresh_machine.execute_grid([clone], [CONFIG_4])
+        assert sweep.memo_hits == 1
 
     def test_nominal_pstate_and_plain_placement_share_cells(
         self, fresh_machine, phase_work
@@ -84,55 +84,55 @@ class TestMemoAccounting:
             fresh_machine.pstate_table.nominal, nominal=True
         )
         assert pinned.pstate is not None
-        fresh_machine.execute_batch(phase_work, [plain])
-        batch = fresh_machine.execute_batch(phase_work, [pinned])
-        assert batch.memo_hits == 1
+        fresh_machine.execute_grid([phase_work], [plain])
+        sweep = fresh_machine.execute_grid([phase_work], [pinned])
+        assert sweep.memo_hits == 1
         # The materialized result still reflects the *requested* view.
-        assert batch.result(0).pstate == fresh_machine.pstate_table.nominal
+        assert sweep.result(0, 0).pstate == fresh_machine.pstate_table.nominal
 
     def test_use_memo_false_bypasses_entirely(self, fresh_machine, phase_work):
-        fresh_machine.execute_batch(phase_work, [CONFIG_4], use_memo=False)
+        fresh_machine.execute_grid([phase_work], [CONFIG_4], use_memo=False)
         assert fresh_machine.execution_memo_info().size == 0
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
-        again = fresh_machine.execute_batch(phase_work, [CONFIG_4], use_memo=False)
+        fresh_machine.execute_grid([phase_work], [CONFIG_4])
+        again = fresh_machine.execute_grid([phase_work], [CONFIG_4], use_memo=False)
         assert (again.memo_hits, again.memo_misses) == (0, 1)
 
     def test_clear_resets_cells_and_counters(self, fresh_machine, phase_work):
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
+        fresh_machine.execute_grid([phase_work], [CONFIG_4])
+        fresh_machine.execute_grid([phase_work], [CONFIG_4])
         fresh_machine.clear_execution_memo()
         info = fresh_machine.execution_memo_info()
         assert (info.hits, info.misses, info.size) == (0, 0, 0)
-        batch = fresh_machine.execute_batch(phase_work, [CONFIG_4])
-        assert batch.memo_misses == 1
+        sweep = fresh_machine.execute_grid([phase_work], [CONFIG_4])
+        assert sweep.memo_misses == 1
 
 
 class TestMemoGating:
     def test_noisy_executions_are_never_cached(self, phase_work):
         machine = Machine(noise_sigma=0.01, seed=5)
-        machine.execute_batch(phase_work, [CONFIG_4], apply_noise=True)
+        machine.execute_grid([phase_work], [CONFIG_4], apply_noise=True)
         assert machine.execution_memo_info().size == 0
-        # Two noisy batches must see different jitter, not a cached cell.
-        a = machine.execute_batch(phase_work, [CONFIG_4], apply_noise=True)
-        b = machine.execute_batch(phase_work, [CONFIG_4], apply_noise=True)
-        assert float(a.time_seconds[0]) != float(b.time_seconds[0])
+        # Two noisy sweeps must see different jitter, not a cached cell.
+        a = machine.execute_grid([phase_work], [CONFIG_4], apply_noise=True)
+        b = machine.execute_grid([phase_work], [CONFIG_4], apply_noise=True)
+        assert float(a.time_seconds[0, 0]) != float(b.time_seconds[0, 0])
 
     def test_memo_size_zero_disables(self, phase_work):
         machine = Machine(noise_sigma=0.0, memo_size=0)
-        machine.execute_batch(phase_work, [CONFIG_4])
-        batch = machine.execute_batch(phase_work, [CONFIG_4])
-        assert batch.memo_hits == 0
+        machine.execute_grid([phase_work], [CONFIG_4])
+        sweep = machine.execute_grid([phase_work], [CONFIG_4])
+        assert sweep.memo_hits == 0
         assert machine.execution_memo_info().size == 0
 
     def test_memo_is_lru_bounded(self, phase_work):
         machine = Machine(noise_sigma=0.0, memo_size=3)
         configs = standard_configurations(machine.topology)
-        machine.execute_batch(phase_work, configs)  # 5 cells through a 3-slot memo
+        machine.execute_grid([phase_work], configs)  # 5 cells through a 3-slot memo
         info = machine.execution_memo_info()
         assert info.size == 3
         assert info.maxsize == 3
         # The oldest cells were evicted: re-running misses on the first two.
-        again = machine.execute_batch(phase_work, configs)
+        again = machine.execute_grid([phase_work], configs)
         assert again.memo_hits < len(configs)
 
     def test_negative_memo_size_rejected(self):
@@ -153,9 +153,9 @@ class TestMemoIsolation:
             ),
             noise_sigma=0.0,
         )
-        a = base.execute_batch(phase_work, [CONFIG_4])
-        b = heavy.execute_batch(phase_work, [CONFIG_4])
-        assert float(a.power_watts[0]) != float(b.power_watts[0])
+        a = base.execute_grid([phase_work], [CONFIG_4])
+        b = heavy.execute_grid([phase_work], [CONFIG_4])
+        assert float(a.power_watts[0, 0]) != float(b.power_watts[0, 0])
         # Both simulated their own cell — no cross-machine cache leak.
         assert a.memo_misses == 1 and b.memo_misses == 1
 
@@ -164,39 +164,39 @@ class TestMemoIsolation:
         slow = Machine(
             cpu_model=CPUModel(branch_misprediction_rate=0.08), noise_sigma=0.0
         )
-        a = base.execute_batch(phase_work, [CONFIG_4])
-        b = slow.execute_batch(phase_work, [CONFIG_4])
-        assert float(a.time_seconds[0]) < float(b.time_seconds[0])
+        a = base.execute_grid([phase_work], [CONFIG_4])
+        b = slow.execute_grid([phase_work], [CONFIG_4])
+        assert float(a.time_seconds[0, 0]) < float(b.time_seconds[0, 0])
         assert b.memo_misses == 1
 
     def test_different_noise_parameters_have_private_memos(self, phase_work):
         a = Machine(noise_sigma=0.0)
         b = Machine(noise_sigma=0.02, seed=11)
-        a.execute_batch(phase_work, [CONFIG_4])
-        batch = b.execute_batch(phase_work, [CONFIG_4])  # noise-free call
-        assert batch.memo_misses == 1  # not served by machine a's memo
+        a.execute_grid([phase_work], [CONFIG_4])
+        sweep = b.execute_grid([phase_work], [CONFIG_4])  # noise-free call
+        assert sweep.memo_misses == 1  # not served by machine a's memo
 
 
 class TestMemoSnapshot:
     def test_export_merge_roundtrip_serves_hits(self, fresh_machine, phase_work):
         configs = standard_configurations(fresh_machine.topology)
-        fresh_machine.execute_batch(phase_work, configs)
+        fresh_machine.execute_grid([phase_work], configs)
         snapshot = fresh_machine.export_execution_memo()
         assert len(snapshot) == len(configs)
         other = Machine(noise_sigma=0.0)
         assert other.merge_execution_memo(snapshot) == len(configs)
-        batch = other.execute_batch(phase_work, configs)
-        assert (batch.memo_hits, batch.memo_misses) == (len(configs), 0)
+        sweep = other.execute_grid([phase_work], configs)
+        assert (sweep.memo_hits, sweep.memo_misses) == (len(configs), 0)
 
     def test_snapshot_survives_pickling(self, fresh_machine, phase_work):
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
+        fresh_machine.execute_grid([phase_work], [CONFIG_4])
         snapshot = pickle.loads(pickle.dumps(fresh_machine.export_execution_memo()))
         other = Machine(noise_sigma=0.0)
         assert other.merge_execution_memo(snapshot) == 1
-        assert other.execute_batch(phase_work, [CONFIG_4]).memo_hits == 1
+        assert other.execute_grid([phase_work], [CONFIG_4]).memo_hits == 1
 
     def test_schema_mismatch_rejects_stale_snapshots(self, fresh_machine, phase_work):
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
+        fresh_machine.execute_grid([phase_work], [CONFIG_4])
         snapshot = fresh_machine.export_execution_memo()
         stale = replace(snapshot, schema=("memo-v0",) + snapshot.schema[1:])
         with pytest.raises(ValueError, match="stale execution-memo snapshot"):
@@ -204,25 +204,25 @@ class TestMemoSnapshot:
 
     def test_noisy_executions_are_never_exported(self, phase_work):
         machine = Machine(noise_sigma=0.01, seed=5)
-        machine.execute_batch(phase_work, [CONFIG_4], apply_noise=True)
+        machine.execute_grid([phase_work], [CONFIG_4], apply_noise=True)
         machine.execute(phase_work, CONFIG_4, apply_noise=True)
         assert len(machine.export_execution_memo()) == 0
 
     def test_merge_keeps_existing_cells_and_respects_lru_bound(self, phase_work):
         donor = Machine(noise_sigma=0.0)
         configs = standard_configurations(donor.topology)
-        donor.execute_batch(phase_work, configs)
+        donor.execute_grid([phase_work], configs)
         snapshot = donor.export_execution_memo()
         small = Machine(noise_sigma=0.0, memo_size=3)
         assert small.merge_execution_memo(snapshot) <= len(configs)
         assert small.execution_memo_info().size == 3
         # Re-merging adds nothing new for cells already present.
         already = Machine(noise_sigma=0.0)
-        already.execute_batch(phase_work, configs)
+        already.execute_grid([phase_work], configs)
         assert already.merge_execution_memo(snapshot) == 0
 
     def test_memo_disabled_machine_merges_no_cells(self, fresh_machine, phase_work):
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
+        fresh_machine.execute_grid([phase_work], [CONFIG_4])
         snapshot = fresh_machine.export_execution_memo()
         disabled = Machine(noise_sigma=0.0, memo_size=0)
         assert disabled.merge_execution_memo(snapshot) == 0
@@ -236,12 +236,12 @@ class TestPerCoreMemoKeys:
         ladder = configuration_by_name(
             "4@2.4/2.4/1.6/1.6GHz", machine.pstate_table
         )
-        first = machine.execute_batch(phase_work, [ladder])
+        first = machine.execute_grid([phase_work], [ladder])
         assert first.memo_misses == 1
-        second = machine.execute_batch(phase_work, [ladder])
+        second = machine.execute_grid([phase_work], [ladder])
         assert second.memo_hits == 1
-        assert float(first.time_seconds[0]) == float(second.time_seconds[0])
-        materialized = second.result(0)
+        assert float(first.time_seconds[0, 0]) == float(second.time_seconds[0, 0])
+        materialized = second.result(0, 0)
         assert materialized.pstates == ladder.pstate_vector
         assert materialized.pstate is None
 
@@ -251,21 +251,21 @@ class TestPerCoreMemoKeys:
         table = machine.pstate_table
         names = ["4", "4@1.6GHz", "4@2.4/2.4/1.6/1.6GHz"]
         configs = [configuration_by_name(name, table) for name in names]
-        batch = machine.execute_batch(phase_work, configs)
-        assert batch.memo_misses == len(configs)
+        sweep = machine.execute_grid([phase_work], configs)
+        assert sweep.memo_misses == len(configs)
         assert machine.execution_memo_info().size == len(configs)
-        times = {name: float(t) for name, t in zip(names, batch.time_seconds)}
+        times = {name: float(t) for name, t in zip(names, sweep.time_seconds[0])}
         assert len(set(times.values())) == len(times)
 
     def test_all_equal_vector_shares_the_homogeneous_cell(self, phase_work):
         """The degenerate vector canonicalizes onto the scalar key."""
         machine = Machine(noise_sigma=0.0)
         table = machine.pstate_table
-        machine.execute_batch(phase_work, [configuration_by_name("4@1.6GHz", table)])
+        machine.execute_grid([phase_work], [configuration_by_name("4@1.6GHz", table)])
         degenerate = configuration_by_name("4@1.6/1.6/1.6/1.6GHz", table)
         assert not degenerate.is_heterogeneous
-        batch = machine.execute_batch(phase_work, [degenerate])
-        assert batch.memo_hits == 1
+        sweep = machine.execute_grid([phase_work], [degenerate])
+        assert sweep.memo_hits == 1
 
     def test_shares_memo_cell_understands_vectors(self, fresh_machine):
         table = fresh_machine.pstate_table
@@ -282,11 +282,11 @@ class TestPerCoreMemoKeys:
         ladder = configuration_by_name(
             "2b@2.4/1.6GHz", machine.pstate_table
         )
-        machine.execute_batch(phase_work, [ladder])
+        machine.execute_grid([phase_work], [ladder])
         snapshot = pickle.loads(pickle.dumps(machine.export_execution_memo()))
         other = Machine(noise_sigma=0.0)
         assert other.merge_execution_memo(snapshot) == 1
-        assert other.execute_batch(phase_work, [ladder]).memo_hits == 1
+        assert other.execute_grid([phase_work], [ladder]).memo_hits == 1
 
 
 class TestNewCellJournal:
@@ -300,17 +300,17 @@ class TestNewCellJournal:
     def test_seeding_merging_and_hits_do_not_journal(self, phase_work):
         donor = Machine(noise_sigma=0.0)
         configs = standard_configurations(donor.topology)
-        donor.execute_batch(phase_work, configs)
+        donor.execute_grid([phase_work], configs)
         seeded = Machine(noise_sigma=0.0)
         assert seeded.merge_execution_memo(donor.export_execution_memo()) == len(
             configs
         )
         assert len(seeded.drain_new_cells()) == 0
-        batch = seeded.execute_batch(phase_work, configs)  # all hits
-        assert batch.memo_hits == len(configs)
+        sweep = seeded.execute_grid([phase_work], configs)  # all hits
+        assert sweep.memo_hits == len(configs)
         assert len(seeded.drain_new_cells()) == 0
         fresh = configuration_by_name("4@1.6GHz", seeded.pstate_table)
-        seeded.execute_batch(phase_work, [fresh])
+        seeded.execute_grid([phase_work], [fresh])
         (cell,) = seeded.drain_new_cells().cells
         assert cell == seeded.export_execution_memo().cells[-1]
 
@@ -325,32 +325,32 @@ class TestNewCellJournal:
     def test_noisy_bypassed_and_disabled_calls_journal_nothing(self, phase_work):
         configs = standard_configurations(Machine(noise_sigma=0.0).topology)
         noisy = Machine(noise_sigma=0.01, seed=5)
-        noisy.execute_batch(phase_work, configs, apply_noise=True)
+        noisy.execute_grid([phase_work], configs, apply_noise=True)
         noisy.execute(phase_work, CONFIG_4, apply_noise=True)
         assert len(noisy.drain_new_cells()) == 0
         bypassed = Machine(noise_sigma=0.0)
-        bypassed.execute_batch(phase_work, configs, use_memo=False)
+        bypassed.execute_grid([phase_work], configs, use_memo=False)
         assert len(bypassed.drain_new_cells()) == 0
         disabled = Machine(noise_sigma=0.0, memo_size=0)
-        disabled.execute_batch(phase_work, configs)
+        disabled.execute_grid([phase_work], configs)
         assert len(disabled.drain_new_cells()) == 0
 
     def test_journal_keeps_the_newest_memo_size_cells(self, phase_work):
         configs = standard_configurations(Machine(noise_sigma=0.0).topology)
         roomy = Machine(noise_sigma=0.0)
-        roomy.execute_batch(phase_work, configs)
+        roomy.execute_grid([phase_work], configs)
         small = Machine(noise_sigma=0.0, memo_size=3)
-        small.execute_batch(phase_work, configs)  # 5 new cells, 3 slots
+        small.execute_grid([phase_work], configs)  # 5 new cells, 3 slots
         drained = small.drain_new_cells()
         assert drained.cells == roomy.drain_new_cells().cells[-3:]
 
     def test_clear_empties_the_journal_and_a_drain_empties_it(
         self, fresh_machine, phase_work
     ):
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
+        fresh_machine.execute_grid([phase_work], [CONFIG_4])
         fresh_machine.clear_execution_memo()
         assert len(fresh_machine.drain_new_cells()) == 0
-        fresh_machine.execute_batch(phase_work, [CONFIG_4])
+        fresh_machine.execute_grid([phase_work], [CONFIG_4])
         assert len(fresh_machine.drain_new_cells()) == 1
         assert len(fresh_machine.drain_new_cells()) == 0
 

@@ -54,7 +54,7 @@ def _work(k: int = 1) -> WorkRequest:
 def _warm_machine(works) -> Machine:
     machine = Machine(noise_sigma=0.0)
     for work in works:
-        machine.execute_batch(work, standard_configurations(machine.topology))
+        machine.execute_grid([work], standard_configurations(machine.topology))
     return machine
 
 
@@ -66,12 +66,12 @@ class TestSeedAbsorbRoundTrip:
     def test_restarted_process_resimulates_nothing(self, store, machine):
         configs = standard_configurations(machine.topology)
         store.seed(machine)
-        machine.execute_batch(_work(), configs)
+        machine.execute_grid([_work()], configs)
         assert store.absorb(machine) == len(configs)
         restarted = Machine(noise_sigma=0.0)
         assert MemoStore(store.directory).seed(restarted) == len(configs)
-        batch = restarted.execute_batch(_work(), configs)
-        assert (batch.memo_hits, batch.memo_misses) == (len(configs), 0)
+        sweep = restarted.execute_grid([_work()], configs)
+        assert (sweep.memo_hits, sweep.memo_misses) == (len(configs), 0)
 
     def test_seed_is_bit_identical_to_in_process_merge(self, store):
         works = [_work(1), _work(2)]
@@ -89,13 +89,13 @@ class TestSeedAbsorbRoundTrip:
     def test_absorb_since_appends_only_own_cells(self, store, machine):
         """A seeded machine publishes only the cells it simulated itself."""
         configs = standard_configurations(machine.topology)
-        machine.execute_batch(_work(1), configs)
+        machine.execute_grid([_work(1)], configs)
         assert store.absorb(machine) == len(configs)
         assert store.absorb(machine) == 0  # already drained
         seeded = Machine(noise_sigma=0.0)
         assert store.seed(seeded) == len(configs)
-        seeded.execute_batch(_work(1), configs)  # all hits on seeded cells
-        seeded.execute_batch(_work(2), configs)
+        seeded.execute_grid([_work(1)], configs)  # all hits on seeded cells
+        seeded.execute_grid([_work(2)], configs)
         assert store.absorb(seeded) == len(configs)
         assert store.info().cells_appended == 2 * len(configs)
         # Replaying base-less segments in order restores both works' cells.
@@ -143,7 +143,7 @@ class TestTornTailRecovery:
 
     def test_clean_segments_are_never_rewritten(self, store, machine):
         configs = standard_configurations(machine.topology)
-        machine.execute_batch(_work(), configs)
+        machine.execute_grid([_work()], configs)
         store.absorb(machine)
         (segment,) = [
             p for p in store.directory.iterdir() if p.name.startswith("segment-")
@@ -173,7 +173,7 @@ class TestStaleSchemaSkip:
     def test_fresh_segments_still_merge_next_to_stale_ones(self, store, machine):
         self._write_stale_segment(store)
         configs = standard_configurations(machine.topology)
-        machine.execute_batch(_work(), configs)
+        machine.execute_grid([_work()], configs)
         store.absorb(machine)
         restarted = Machine(noise_sigma=0.0)
         reader = MemoStore(store.directory)
@@ -189,7 +189,7 @@ class TestStaleSchemaSkip:
     def test_compaction_keeps_stale_segments_by_default(self, store, machine):
         self._write_stale_segment(store)
         configs = standard_configurations(machine.topology)
-        machine.execute_batch(_work(), configs)
+        machine.execute_grid([_work()], configs)
         store.absorb(machine)
         result = store.compact()
         assert result.kept_stale_files == 1
@@ -206,7 +206,7 @@ def _concurrent_absorb_worker(directory: str, k: int) -> int:
     Module-level so it pickles under any multiprocessing start method.
     """
     machine = Machine(noise_sigma=0.0)
-    machine.execute_batch(_work(k), standard_configurations(machine.topology))
+    machine.execute_grid([_work(k)], standard_configurations(machine.topology))
     return MemoStore(directory).absorb(machine)
 
 
@@ -228,8 +228,8 @@ class TestConcurrentWriters:
         machine = Machine(noise_sigma=0.0)
         assert store.seed(machine) == len(ks) * len(configs)
         for k in ks:
-            batch = machine.execute_batch(_work(k), configs)
-            assert (batch.memo_hits, batch.memo_misses) == (len(configs), 0)
+            sweep = machine.execute_grid([_work(k)], configs)
+            assert (sweep.memo_hits, sweep.memo_misses) == (len(configs), 0)
 
 
 class TestCompaction:
@@ -237,7 +237,7 @@ class TestCompaction:
         configs = standard_configurations(Machine(noise_sigma=0.0).topology)
         for k in (1, 2, 3):
             machine = Machine(noise_sigma=0.0)
-            machine.execute_batch(_work(k), configs)
+            machine.execute_grid([_work(k)], configs)
             store.absorb(machine)
         reference = Machine(noise_sigma=0.0)
         MemoStore(store.directory).seed(reference)
@@ -255,11 +255,11 @@ class TestCompaction:
     def test_segments_after_a_base_fold_into_the_next_base(self, store):
         configs = standard_configurations(Machine(noise_sigma=0.0).topology)
         machine = Machine(noise_sigma=0.0)
-        machine.execute_batch(_work(1), configs)
+        machine.execute_grid([_work(1)], configs)
         store.absorb(machine)
         store.compact()
         late = Machine(noise_sigma=0.0)
-        late.execute_batch(_work(2), configs)
+        late.execute_grid([_work(2)], configs)
         store.absorb(late)
         result = store.compact()
         assert result.folded_files == 1
@@ -270,7 +270,7 @@ class TestCompaction:
     def test_compacting_a_torn_segment_recovers_without_deadlock(self, store):
         configs = standard_configurations(Machine(noise_sigma=0.0).topology)
         machine = Machine(noise_sigma=0.0)
-        machine.execute_batch(_work(1), configs)
+        machine.execute_grid([_work(1)], configs)
         store.absorb(machine)
         good = pack_record(
             pickle.dumps(_snapshot_of([_work(2)]), protocol=pickle.HIGHEST_PROTOCOL)
@@ -304,7 +304,7 @@ class TestCompaction:
             pack_record(pickle.dumps(stale, protocol=pickle.HIGHEST_PROTOCOL))
         )
         configs = standard_configurations(machine.topology)
-        machine.execute_batch(_work(), configs)
+        machine.execute_grid([_work()], configs)
         store.absorb(machine)
         result = store.compact()
         # The old-revision base survives (only the revision that wrote it
@@ -323,13 +323,13 @@ class TestCompaction:
     def test_superseded_clean_base_is_removed_by_compaction(self, store):
         configs = standard_configurations(Machine(noise_sigma=0.0).topology)
         machine = Machine(noise_sigma=0.0)
-        machine.execute_batch(_work(1), configs)
+        machine.execute_grid([_work(1)], configs)
         store.absorb(machine)
         store.compact()
         old = store.directory / "base-00000000.seg"
         leftover = old.read_bytes()
         late = Machine(noise_sigma=0.0)
-        late.execute_batch(_work(2), configs)
+        late.execute_grid([_work(2)], configs)
         store.absorb(late)
         store.compact()
         # Simulate a compaction that crashed between publishing the new
@@ -342,7 +342,7 @@ class TestCompaction:
         assert MemoStore(store.directory).seed(fresh) == 2 * len(configs)
 
     def test_compacting_an_already_compact_store_is_a_noop(self, store, machine):
-        machine.execute_batch(_work(), standard_configurations(machine.topology))
+        machine.execute_grid([_work()], standard_configurations(machine.topology))
         store.absorb(machine)
         first = store.compact()
         assert not first.noop

@@ -3,10 +3,10 @@
 ``parse_request_line`` is the single choke point every TCP byte passes
 through; these tests pin its rejection paths (oversized lines, junk
 bytes, non-object JSON, unknown kinds, missing fields, non-finite
-numbers) and the
-connection-level behavior when a line overruns even the stream reader's
-enlarged framing limit: one structured ``bad_request`` answer, then a
-clean close — never a silent drop.
+numbers, integers too large for a float) and the connection-level
+behavior when a line overruns even the stream reader's enlarged framing
+limit: one structured ``bad_request`` answer, then a clean close — never
+a silent drop.
 """
 
 from __future__ import annotations
@@ -27,6 +27,29 @@ from repro.service import (
     PhaseSampleRequest,
     parse_request_line,
 )
+
+
+#: One number-valued field per request entry point: ``(line template, the
+#: field's name in the rejection message)``.
+_NUMBER_FIELDS = [
+    (
+        b'{"client_id": "c", "phase": "p", "ipc_sample": %s, "rates": {}}',
+        "ipc_sample",
+    ),
+    (
+        b'{"client_id": "c", "phase": "p", "ipc_sample": 1.0, '
+        b'"rates": {"l2": %s}}',
+        "rate 'l2'",
+    ),
+    (
+        b'{"kind": "grid_probe", "client_id": "c", "phase": "p", '
+        b'"work": {"instructions": 1e8, "working_set_mb": %s}}',
+        "working_set_mb",
+    ),
+]
+
+#: A JSON integer beyond the largest float (``float()`` raises OverflowError).
+_HUGE_INTEGER = b"1" + b"0" * 400
 
 
 class TestParseRequestLine:
@@ -89,29 +112,17 @@ class TestParseRequestLine:
         assert parsed == sample
 
     @pytest.mark.parametrize("number", [b"NaN", b"Infinity", b"-Infinity", b"1e400"])
-    @pytest.mark.parametrize(
-        "template, field",
-        [
-            (
-                b'{"client_id": "c", "phase": "p", "ipc_sample": %s, "rates": {}}',
-                "ipc_sample",
-            ),
-            (
-                b'{"client_id": "c", "phase": "p", "ipc_sample": 1.0, '
-                b'"rates": {"l2": %s}}',
-                "rate 'l2'",
-            ),
-            (
-                b'{"kind": "grid_probe", "client_id": "c", "phase": "p", '
-                b'"work": {"instructions": 1e8, "working_set_mb": %s}}',
-                "working_set_mb",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("template, field", _NUMBER_FIELDS)
     def test_non_finite_numbers_are_rejected(self, template, field, number):
         # json.loads accepts NaN and +-Infinity, and 1e400 parses to inf.
         with pytest.raises(ValueError, match=re.escape(f"{field} must be finite")):
             parse_request_line(template % number)
+
+    @pytest.mark.parametrize("template", [template for template, _ in _NUMBER_FIELDS])
+    def test_integers_too_large_for_a_float_are_rejected(self, template):
+        # json.loads keeps an integer literal exact, so float() overflows.
+        with pytest.raises(ValueError, match="too large for a float"):
+            parse_request_line(template % _HUGE_INTEGER)
 
 
 class _EchoHandler(DecisionHandler):
@@ -297,6 +308,58 @@ class TestDeeplyNestedLineOverTCP:
         assert "nested too deeply" in first["detail"]
         assert second["ok"] is True
         assert second["decision"]["client_id"] == "good"
+        errors = [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == []
+
+
+class TestOverflowingIntegerOverTCP:
+    def test_pipelined_overflow_line_answers_bad_request_between_good_ones(
+        self, caplog
+    ):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+
+        async def main():
+            server = AdaptationServer(_EchoHandler())
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                good = {"phase": "p", "ipc_sample": 1.0}
+                lines = [
+                    json.dumps(dict(good, client_id="ok1")).encode(),
+                    b'{"client_id": "huge", "phase": "p", "ipc_sample": %s}'
+                    % _HUGE_INTEGER,
+                    json.dumps(dict(good, client_id="ok2")).encode(),
+                ]
+                writer.write(b"".join(line + b"\n" for line in lines))
+                await writer.drain()
+                answers = [
+                    json.loads(await asyncio.wait_for(reader.readline(), timeout=10.0))
+                    for _ in lines
+                ]
+                still_open = not reader.at_eof()
+                writer.close()
+                await writer.wait_closed()
+                return answers, still_open
+            finally:
+                await server.stop()
+
+        outcome = asyncio.run(main())
+        if outcome is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        answers, still_open = outcome
+        assert [a["ok"] for a in answers] == [True, False, True]
+        assert answers[0]["decision"]["client_id"] == "ok1"
+        assert answers[1]["error"] == "bad_request"
+        assert "too large for a float" in answers[1]["detail"]
+        assert answers[2]["decision"]["client_id"] == "ok2"
+        assert still_open
         errors = [
             record.getMessage()
             for record in caplog.records

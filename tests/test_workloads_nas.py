@@ -7,9 +7,11 @@ single-thread execution times.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.machine import Machine
+from repro.machine import CONFIG_1, Machine
 from repro.workloads import (
     NAS_BENCHMARK_NAMES,
     SCALING_CLASSES,
@@ -17,6 +19,7 @@ from repro.workloads import (
     nas_suite,
     seconds_per_instruction,
 )
+from repro.workloads.calibrate import _PROBE_INSTRUCTIONS
 from repro.workloads.nas import _BENCHMARK_SIZES
 
 
@@ -73,6 +76,30 @@ class TestCalibration:
     def test_seconds_per_instruction_positive(self, machine, suite):
         work = suite.get("BT").phases[0].work
         assert seconds_per_instruction(work, machine) > 0
+
+    def test_seconds_per_instruction_matches_scalar_execute(self, suite):
+        """The one-cell probe sweep is bit-identical to the scalar path."""
+        work = suite.get("BT").phases[0].work
+        probe = replace(work, instructions=_PROBE_INSTRUCTIONS)
+        reference = Machine(noise_sigma=0.0).execute(
+            probe, CONFIG_1, apply_noise=False
+        )
+        assert seconds_per_instruction(work, Machine(noise_sigma=0.0)) == (
+            reference.time_seconds / _PROBE_INSTRUCTIONS
+        )
+
+    def test_probe_cell_is_simulated_once_then_served_from_the_memo(self, suite):
+        work = suite.get("CG").phases[0].work
+        machine = Machine(noise_sigma=0.0)
+        first = seconds_per_instruction(work, machine)
+        info = machine.execution_memo_info()
+        assert (info.hits, info.misses) == (0, 1)
+        # The cold probe took the small-batch scalar short-circuit.
+        assert machine.small_batch_shortcircuits == 1
+        assert seconds_per_instruction(work, machine) == first
+        info = machine.execution_memo_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert machine.batch_cells_computed == 1
 
 
 class TestScalingShape:
