@@ -57,13 +57,23 @@ def _dense_pstate_table(points: int = 24) -> PStateTable:
     )
 
 
-def _best_of(repetitions: int, fn):
-    timings = []
+def _best_of(repetitions: int, *fns):
+    """Best wall time of each of ``fns`` over ``repetitions`` rounds.
+
+    Each round runs every function in turn, so a slow stretch of the host
+    that covers one round slows every side alike instead of sinking one
+    side's whole block.  Each timed call follows an untimed call of the
+    same function: timed straight after the other side, a sweep runs on
+    CPU caches that side evicted (a memo-warm sweep ~40% slower).
+    """
+    timings = [[] for _ in fns]
     for _ in range(repetitions):
-        started = time.perf_counter()
-        fn()
-        timings.append(time.perf_counter() - started)
-    return min(timings)
+        for fn, fn_timings in zip(fns, timings):
+            fn()
+            started = time.perf_counter()
+            fn()
+            fn_timings.append(time.perf_counter() - started)
+    return [min(fn_timings) for fn_timings in timings]
 
 
 def _sp_phase_work():
@@ -90,12 +100,11 @@ def _measure_space(machine: Machine, configs, work) -> dict:
             loop_column, getattr(batch_results, attribute)[0], rtol=1e-9, atol=0.0
         ), attribute
 
-    loop_seconds = _best_of(3, looped)
-    batch_seconds = _best_of(3, batched)
+    loop_seconds, batch_seconds = _best_of(3, looped, batched)
 
     # A memo-warm sweep for the trajectory artifact.
     machine.execute_grid([work], configs)
-    memo_seconds = _best_of(3, lambda: machine.execute_grid([work], configs))
+    (memo_seconds,) = _best_of(3, lambda: machine.execute_grid([work], configs))
 
     cells = len(configs)
     return {
@@ -174,13 +183,13 @@ def test_execution_memo_makes_repeat_sweeps_nearly_free():
     warm = machine.execute_grid([work], configs)
     assert warm.memo_hits == len(configs)
 
-    loop_seconds = _best_of(
+    loop_seconds, memo_seconds = _best_of(
         3,
         lambda: [
             machine.execute(work, config, apply_noise=False) for config in configs
         ],
+        lambda: machine.execute_grid([work], configs),
     )
-    memo_seconds = _best_of(3, lambda: machine.execute_grid([work], configs))
     speedup = loop_seconds / memo_seconds
     print(f"\nmemo-warm sweep: {speedup:.1f}x over the scalar loop")
     assert speedup >= MEMO_WARM_SPEEDUP_FLOOR, (

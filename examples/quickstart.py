@@ -265,7 +265,8 @@ def main() -> None:
     #    a micro-batching asyncio service.  Many concurrent clients submit
     #    phase samples; the server coalesces whatever arrives inside a
     #    bounded batching window (max batch size OR max latency, whichever
-    #    first) and scores each batch through ONE predict_batch pass —
+    #    first; a lone request long after the previous lone one skips the
+    #    window) and scores each batch through ONE predict_batch pass —
     #    decisions are identical to calling the selector per phase, so
     #    batching is purely a throughput feature.  A bounded queue rejects
     #    overload with a retry-after hint the client shim honours.

@@ -209,8 +209,3 @@ class CacheModel:
             cache_id = self.topology.core(core).l2_cache_id
             ratios.append(loads[cache_id].l2_miss_ratio)
         return ratios
-
-    def mean_miss_ratio(self, work: WorkRequest, placement: ThreadPlacement) -> float:
-        """Average per-thread L2 miss ratio under ``placement``."""
-        ratios = self.per_thread_miss_ratios(work, placement)
-        return sum(ratios) / len(ratios)

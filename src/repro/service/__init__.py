@@ -17,8 +17,10 @@ serve a fleet of adapting applications:
   :class:`~repro.cluster.Fleet` as one decision;
 * :mod:`repro.service.batcher` — the bounded request queue and the
   micro-batching scheduler (dispatch on ``max_batch_size`` OR the
-  ``max_batch_window`` latency deadline, whichever fires first; reject
-  with a retry-after hint once the queue is saturated);
+  ``max_batch_window`` latency deadline, whichever fires first, except
+  that a lone request arriving more than one window after the previous
+  lone request dispatches at once; reject with a retry-after hint once
+  the queue is saturated);
 * :mod:`repro.service.metrics` — the exported counters (decisions/sec,
   batch-size histogram, queue depth, p50/p99 latency, cache hit rates) as
   a plain dict for tests, benches and dashboards;

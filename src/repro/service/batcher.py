@@ -7,11 +7,21 @@ to the handler **once**, resolving every request's future with its decision.
 A submission cancelled before its batch is dispatched is dropped from the
 batch and never counted as a decision.
 
-Dispatch policy — whichever fires first:
+Dispatch policy.  The scheduler first drains whatever is already queued,
+without yielding.  A batch then dispatches at once when the signs say no
+company is coming: it is a single request, the previous batch as collected
+was a single request too, and that request was submitted more than
+``max_batch_window`` before this one.  So requests arriving further apart
+than the window pay no window wait.  Otherwise the batch dispatches when
+whichever fires first:
 
 * the batch reached ``max_batch_size``, or
 * ``max_batch_window`` seconds elapsed since the batch's first request was
-  dequeued (the latency budget a lone request pays waiting for company).
+  dequeued (the latency budget a request pays waiting for company).
+
+A fresh batcher waits the window for its first batch.  A lone request that
+follows a batch of several, or arrives within one window of the previous
+lone request, waits too, so the batches of a burst keep their shape.
 
 Backpressure: the queue is bounded by ``max_queue_depth``.  A submission
 finding it full is rejected immediately with
@@ -53,7 +63,9 @@ class MicroBatcher:
         Dispatch as soon as this many requests are coalesced.
     max_batch_window:
         Dispatch at latest this many seconds after a batch's first request
-        was dequeued (``0`` dispatches whatever is immediately queued).
+        was dequeued (``0`` dispatches whatever is immediately queued).  A
+        lone request submitted more than this long after the previous lone
+        request dispatches at once.
     max_queue_depth:
         Bound of the request queue; submissions beyond it are rejected.
     metrics:
@@ -81,14 +93,18 @@ class MicroBatcher:
         self.metrics = metrics or ServiceMetrics()
         # A single dispatched batch leaves the metrics no [first, last]
         # dispatch span to divide by; the batching window is the natural
-        # elapsed floor (a batch takes at least one window to coalesce),
-        # so a warm server never reports 0.0 decisions/sec — which would
-        # push retry_after_hint into its worst-case cold fallback.
+        # elapsed floor (a fresh batcher's first batch waits one window
+        # unless it fills), so a warm server never reports 0.0
+        # decisions/sec — which would push retry_after_hint into its
+        # worst-case cold fallback.
         self.metrics.elapsed_floor = max(
             self.metrics.elapsed_floor, self.max_batch_window
         )
         self._queue: Optional[asyncio.Queue] = None
         self._scheduler: Optional[asyncio.Task] = None
+        # Submit time of the previous batch when it was a lone request,
+        # else None (also before the first batch, which waits the window).
+        self._lone_submitted: Optional[float] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -193,7 +209,7 @@ class MicroBatcher:
         self, batch: List[Tuple[object, asyncio.Future, float]]
     ) -> None:
         """Dequeue one batch into ``batch``: first item blocks, then
-        size/window race.
+        size/window race, unless a lone request skips the window.
 
         Fills the caller's list in place, so when a cancellation lands
         inside the window the entries already taken stay where
@@ -213,6 +229,15 @@ class MicroBatcher:
             remaining = deadline - loop.time()
             if remaining <= 0:
                 break
+            if (
+                len(batch) == 1
+                and self._lone_submitted is not None
+                and batch[0][2] - self._lone_submitted > self.max_batch_window
+            ):
+                # A lone request a window after the previous lone one:
+                # no company is coming, so do not wait for it.
+                self.metrics.record_window_skip()
+                break
             try:
                 batch.append(
                     await asyncio.wait_for(self._queue.get(), timeout=remaining)
@@ -224,6 +249,7 @@ class MicroBatcher:
                 # cancellation landed as the get completed, and wait_for
                 # (Python 3.11) returned the item instead of raising.
                 raise asyncio.CancelledError
+        self._lone_submitted = batch[0][2] if len(batch) == 1 else None
 
     async def _dispatch(
         self, batch: List[Tuple[object, asyncio.Future, float]]

@@ -1,8 +1,9 @@
 """The service's metrics surface: plain-dict counters for tests and benches.
 
 One :class:`ServiceMetrics` instance sits behind each server.  The batching
-scheduler feeds it per-batch observations (size, per-request latencies),
-the submit path feeds it rejections, and :meth:`ServiceMetrics.snapshot`
+scheduler feeds it per-batch observations (size, per-request latencies)
+and the batches it dispatched without waiting out its window, the submit
+path feeds it rejections, and :meth:`ServiceMetrics.snapshot`
 exports everything as a JSON-able dict — decisions/sec, the batch-size
 histogram, queue depth, latency percentiles and the handler's cache hit
 rates — so a bench artifact or a dashboard scrape is one call.
@@ -48,6 +49,7 @@ class ServiceMetrics:
         self.decisions = 0
         self.batches = 0
         self.rejections = 0
+        self.window_skips = 0
         self.batch_size_histogram: Counter = Counter()
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._first_dispatch: Optional[float] = None
@@ -70,6 +72,10 @@ class ServiceMetrics:
     def record_rejection(self) -> None:
         """One request rejected by backpressure."""
         self.rejections += 1
+
+    def record_window_skip(self) -> None:
+        """One batch dispatched without waiting out the batching window."""
+        self.window_skips += 1
 
     # ------------------------------------------------------------------
     # derived quantities
@@ -125,6 +131,7 @@ class ServiceMetrics:
             "decisions": self.decisions,
             "batches": self.batches,
             "rejections": self.rejections,
+            "window_skips": self.window_skips,
             "decisions_per_second": self.decisions_per_second(),
             "mean_batch_size": self.mean_batch_size(),
             "batch_size_histogram": {

@@ -97,7 +97,11 @@ class AdaptationServer:
         :class:`~repro.service.handlers.FleetHandler`).
     max_batch_size / max_batch_window / max_queue_depth:
         Batching and backpressure knobs, passed to
-        :class:`~repro.service.batcher.MicroBatcher`.
+        :class:`~repro.service.batcher.MicroBatcher`.  A batch dispatches
+        when it holds ``max_batch_size`` requests or ``max_batch_window``
+        seconds after its first request was dequeued; a lone request
+        arriving more than one window after the previous lone request
+        dispatches at once (``window_skips`` in :meth:`metrics`).
 
     TCP protocol (:meth:`serve_tcp`): one JSON object per line.  A client
     may write its next lines before the earlier answers arrive.  The

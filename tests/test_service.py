@@ -1,7 +1,11 @@
 """Tests for the micro-batching adaptation service.
 
 Covers the batching window semantics in both directions (size-triggered
-dispatch beats the window; the window flushes undersized batches), the
+dispatch beats the window; the window flushes undersized batches) and the
+rule that lets a lone request skip the window: only when the previous batch
+was a lone request too, submitted more than one window earlier.  A fresh
+batcher, a lone request after a batch of several and one within a window of
+the previous lone request all still wait, so a burst keeps its batches.  The
 bounded-queue backpressure contract (reject with retry-after, client shim
 retries), and the central determinism guarantee: decisions served through
 the batching path select what serial per-phase selection selects — the
@@ -175,6 +179,144 @@ class TestBatchingWindow:
 
         good, again = asyncio.run(main())
         assert (good.client_id, again.client_id) == ("c0", "c2")
+
+    @staticmethod
+    def _lone_latency(window, *prelude):
+        """Serve each ``prelude`` step, then time one lone request.
+
+        A step is a list of requests submitted together (answered before
+        the next step), or a number of seconds to sleep.  Returns the
+        batch sizes, the lone request's latency and ``window_skips``.
+        """
+
+        async def main():
+            handler = _EchoHandler()
+            async with AdaptationServer(
+                handler, max_batch_window=window
+            ) as server:
+                for step in prelude:
+                    if isinstance(step, list):
+                        await server.submit_many(step)
+                    else:
+                        await asyncio.sleep(step)
+                start = time.perf_counter()
+                await server.submit(_request(99))
+                elapsed = time.perf_counter() - start
+                return handler.batch_sizes, elapsed, server.metrics()["window_skips"]
+
+        return asyncio.run(main())
+
+    def test_lone_request_a_window_after_the_previous_dispatches_at_once(self):
+        # The first request waits its 1 s window, so the second arrives
+        # more than a window after it.
+        sizes, elapsed, skips = self._lone_latency(1.0, [_request(0)], 0.05)
+        assert sizes == [1, 1]
+        assert elapsed < 0.5
+        assert skips == 1
+
+    def test_fresh_batcher_waits_the_window_for_its_first_request(self):
+        sizes, elapsed, skips = self._lone_latency(0.3)
+        assert sizes == [1]
+        assert elapsed >= 0.9 * 0.3
+        assert skips == 0
+
+    def test_lone_request_after_a_batch_of_several_waits_the_window(self):
+        sizes, elapsed, skips = self._lone_latency(
+            0.3, [_request(i) for i in range(3)], 0.05
+        )
+        assert sizes == [3, 1]
+        assert elapsed >= 0.9 * 0.3
+        assert skips == 0
+
+    def test_lone_request_within_a_window_of_the_previous_waits(self):
+        # Request 1 skips the window; the timed one follows it at once.
+        sizes, elapsed, skips = self._lone_latency(
+            0.3, [_request(0)], 0.05, [_request(1)]
+        )
+        assert sizes == [1, 1, 1]
+        assert elapsed >= 0.9 * 0.3
+        assert skips == 1
+
+    def test_requests_queued_together_wait_the_window_for_company(self):
+        async def main():
+            handler = _EchoHandler()
+            async with AdaptationServer(handler, max_batch_window=0.3) as server:
+                await server.submit(_request(0))  # waits its window
+                await asyncio.sleep(0.05)
+                # Two requests queued together, a window after the lone
+                # one: they still wait, and the third joins them.
+                pair = asyncio.ensure_future(
+                    server.submit_many([_request(1), _request(2)])
+                )
+                await asyncio.sleep(0.05)
+                await server.submit(_request(3))
+                await pair
+                return handler.batch_sizes, server.metrics()["window_skips"]
+
+        sizes, skips = asyncio.run(main())
+        assert sizes == [1, 3]
+        assert skips == 0
+
+    def test_pipelined_burst_after_lone_requests_keeps_full_batches(self):
+        window = 0.2
+
+        class _SleepyHandler(_EchoHandler):
+            def handle_batch(self, requests):
+                time.sleep(0.001)
+                return super().handle_batch(requests)
+
+        async def main():
+            handler = _SleepyHandler()
+            server = AdaptationServer(handler, max_batch_window=window)
+            try:
+                host, port = await server.serve_tcp(host="127.0.0.1", port=0)
+            except OSError:
+                return None
+            connections = []
+            try:
+                # Lone requests more than a window apart: all but the
+                # first skip the window.
+                reader, writer = await asyncio.open_connection(host, port)
+                connections.append(writer)
+                for i in range(3):
+                    writer.write(_line(i))
+                    await _answers(reader, 1)
+                    await asyncio.sleep(window + 0.05)
+                lone_sizes = list(handler.batch_sizes)
+                lone_skips = server.metrics()["window_skips"]
+                # Then 2 connections pipeline 8 lines each, a line every
+                # 2 ms, as a closed loop ramps up.
+                pipes = [await asyncio.open_connection(host, port) for _ in range(2)]
+                connections.extend(w for _, w in pipes)
+                for i in range(8):
+                    for c, (_, w) in enumerate(pipes):
+                        w.write(_line(10 + 8 * c + i))
+                        await w.drain()
+                        await asyncio.sleep(0.002)
+                answers = [await _answers(r, 8) for r, _ in pipes]
+                burst_sizes = handler.batch_sizes[len(lone_sizes):]
+                burst_skips = server.metrics()["window_skips"] - lone_skips
+                return lone_sizes, lone_skips, answers, burst_sizes, burst_skips
+            finally:
+                for writer in connections:
+                    writer.close()
+                await server.stop()
+
+        outcome = asyncio.run(main())
+        if outcome is None:
+            pytest.skip("loopback sockets unavailable in this environment")
+        lone_sizes, lone_skips, answers, burst_sizes, burst_skips = outcome
+        assert lone_sizes == [1, 1, 1]
+        assert lone_skips == 2
+        for c, lines in enumerate(answers):
+            assert [a["decision"]["client_id"] for a in lines] == [
+                f"c{10 + 8 * c + i}" for i in range(8)
+            ]
+        # At most the burst's first line goes alone; the rest wait for
+        # company and share full batches.
+        assert sum(burst_sizes) == 16
+        assert all(size > 1 for size in burst_sizes[1:]), burst_sizes
+        assert burst_skips <= 1
 
 
 class TestBackpressure:
@@ -498,6 +640,7 @@ class TestMetricsSurface:
             "decisions",
             "batches",
             "rejections",
+            "window_skips",
             "decisions_per_second",
             "mean_batch_size",
             "batch_size_histogram",
@@ -506,6 +649,7 @@ class TestMetricsSurface:
             "caches",
         }
         assert snapshot["decisions"] == 10
+        assert snapshot["window_skips"] == 0  # no lone batch to skip
         assert sum(
             int(size) * count
             for size, count in snapshot["batch_size_histogram"].items()
