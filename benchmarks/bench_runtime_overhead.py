@@ -89,9 +89,10 @@ def test_batched_prediction_throughput(small_predictor):
     """256 pending rows in one predict_batch call vs 256 one-row calls.
 
     The batched engine evaluates all target configurations for all rows with
-    one stacked matmul per ensemble layer; the acceptance bar is a >= 10x
-    speedup over 256 sequential one-row ``predict_batch`` calls (the path a
-    one-sample prediction takes), with numerical equivalence to them.
+    one matmul per layer over every target's ensemble members, stacked
+    together; the acceptance bar is a >= 10x speedup over 256 sequential
+    one-row ``predict_batch`` calls (the path a one-sample prediction takes,
+    which is fused the same way), with numerical equivalence to them.
     """
     predictor = small_predictor
     rng = np.random.default_rng(123)
@@ -107,7 +108,7 @@ def test_batched_prediction_throughput(small_predictor):
     def batched():
         return predictor.predict_batch(features)
 
-    # Warm both paths (builds the ensembles' stacked parameter tensors).
+    # Warm both paths (builds the predictor's cached ensemble stack).
     loop_results = sequential()
     batch_results = batched()
 

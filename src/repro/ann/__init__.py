@@ -20,14 +20,22 @@ Batched prediction API
 ----------------------
 Every model has one arithmetic prediction path, ``predict_batch(X)``: a
 strict ``(batch, features)`` matrix in, one batched result out.  The whole
-batch flows through each layer as a single NumPy matmul, and
-:meth:`CrossValidationEnsemble.predict_batch` runs the members' weights,
-stacked into ``(members, fan_in, fan_out)`` tensors, through the same
-forward function training uses, so the *entire ensemble* is evaluated with
-one batched matmul per layer — no Python loop over samples or members.
-``predict(x)`` is a shape adapter over it: a single feature vector is a
-one-row batch and gives a scalar (a 1-D output for multi-output models); a
-2-D batch gives what ``predict_batch`` gives.
+batch flows through each layer as a single NumPy matmul.  An
+:class:`EnsembleStack` stacks several fitted ensembles' member weights into
+``(ensembles, members, fan_in, fan_out)`` tensors and runs them through the
+same forward function training uses, so *many ensembles* are evaluated
+with one batched matmul per layer — no Python loop over samples, members or
+ensembles.  :func:`predict_ensembles` is its one-call form, and
+:meth:`CrossValidationEnsemble.predict_batch` runs a stack of one (kept
+until the next fit).  A stack gives each ensemble bit for bit what its own
+``predict_batch`` gives: every member's layer is still one ``(batch,
+fan_in) @ (fan_in, fan_out)`` matmul slice, and the scaling and member mean
+keep their element-wise order.  It scores as many ensembles per pass as
+keep one hidden layer's activations within ``FUSED_PASS_ELEMENTS``, so a
+large batch runs in several passes with a bounded working set.
+``predict(x)`` is a shape adapter over ``predict_batch``: a single feature
+vector is a one-row batch and gives a scalar (a 1-D output for
+multi-output models); a 2-D batch gives what ``predict_batch`` gives.
 
 A row's prediction can differ in the last bits with the rows batched beside
 it, because BLAS picks its matmul kernel by batch shape:
@@ -41,6 +49,7 @@ all target configurations for all phases at once, as
     ensemble = CrossValidationEnsemble(folds=5)
     ensemble.fit(X_train, y_train)
     y = ensemble.predict_batch(X_pending)      # (batch,) in one shot
+    ys = predict_ensembles([ensemble, other], X_pending)   # [y, other's]
 
 Models raise :class:`NotFittedError` (a :class:`RuntimeError` subclass)
 when asked to predict before being fitted.
@@ -55,7 +64,13 @@ from .activations import (
     Tanh,
     get_activation,
 )
-from .ensemble import CrossValidationEnsemble, FoldResult, fit_ensembles
+from .ensemble import (
+    CrossValidationEnsemble,
+    EnsembleStack,
+    FoldResult,
+    fit_ensembles,
+    predict_ensembles,
+)
 from .exceptions import NotFittedError
 from .metrics import (
     error_cdf,
@@ -76,6 +91,7 @@ __all__ = [
     "Activation",
     "BackpropTrainer",
     "CrossValidationEnsemble",
+    "EnsembleStack",
     "FoldResult",
     "Identity",
     "LayerGradients",
@@ -95,6 +111,7 @@ __all__ = [
     "mean_absolute_error",
     "mean_squared_error",
     "median_relative_error",
+    "predict_ensembles",
     "r_squared",
     "relative_errors",
     "root_mean_squared_error",

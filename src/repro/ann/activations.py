@@ -6,12 +6,14 @@ differentiable" activation would do, so a few common alternatives are
 provided for the ablation studies.  Each activation is a small object with a
 ``value`` and a ``derivative`` method; derivatives are expressed in terms of
 the activation *output* where that is cheaper (sigmoid, tanh), which is what
-the backpropagation implementation expects.
+the backpropagation implementation expects.  ``value`` writes into ``out``
+when given one (the forward pass passes the layer's own buffer, so the
+activation runs in place); without it, ``value`` leaves its input alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -31,8 +33,12 @@ class Activation:
 
     name = "base"
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        """Apply the activation element-wise."""
+    def value(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Apply the activation element-wise.
+
+        The result goes into ``out`` when given (it may be ``x`` itself),
+        else into a new array; ``x`` is changed only when it is ``out``.
+        """
         raise NotImplementedError
 
     def derivative_from_output(self, y: np.ndarray) -> np.ndarray:
@@ -57,11 +63,16 @@ class Sigmoid(Activation):
 
     name = "sigmoid"
 
-    def value(self, x: np.ndarray) -> np.ndarray:
+    def value(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         # Clipping keeps exp() finite for extreme pre-activations without
-        # changing the result materially.
-        x = np.clip(x, -60.0, 60.0)
-        return 1.0 / (1.0 + np.exp(-x))
+        # changing the result materially.  Each step is the elementwise
+        # operation of 1 / (1 + exp(-clip(x))), so every element rounds
+        # the same in place or not.
+        out = np.clip(x, -60.0, 60.0, out=out)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
 
     def derivative_from_output(self, y: np.ndarray) -> np.ndarray:
         return y * (1.0 - y)
@@ -72,8 +83,8 @@ class Tanh(Activation):
 
     name = "tanh"
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
+    def value(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.tanh(x, out=out)
 
     def derivative_from_output(self, y: np.ndarray) -> np.ndarray:
         return 1.0 - y * y
@@ -84,8 +95,8 @@ class ReLU(Activation):
 
     name = "relu"
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)
+    def value(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.maximum(x, 0.0, out=out)
 
     def derivative_from_output(self, y: np.ndarray) -> np.ndarray:
         return (y > 0.0).astype(y.dtype)
@@ -96,8 +107,11 @@ class Identity(Activation):
 
     name = "identity"
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return x
+    def value(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None or out is x:
+            return x
+        np.copyto(out, x)
+        return out
 
     def derivative_from_output(self, y: np.ndarray) -> np.ndarray:
         return np.ones_like(y)

@@ -16,12 +16,19 @@ handled internally so callers work in natural units (event rates in, IPC
 out).  :func:`fit_ensembles` fits several ensembles in one call, training
 all their members in lockstep; :meth:`CrossValidationEnsemble.fit` is its
 one-ensemble call.
+
+Prediction mirrors that: an :class:`EnsembleStack` stacks several fitted
+ensembles' parameters and scalers so one forward pass scores them all on
+the same rows, and :func:`predict_ensembles` is its one-call form.
+:meth:`CrossValidationEnsemble.predict_batch` runs a stack of one, which
+the ensemble keeps until its next fit.  A stack gives every ensemble
+bit-for-bit what its own ``predict_batch`` gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +44,19 @@ from .training import (
     _train_lockstep,
 )
 
-__all__ = ["FoldResult", "CrossValidationEnsemble", "fit_ensembles"]
+__all__ = [
+    "FoldResult",
+    "CrossValidationEnsemble",
+    "EnsembleStack",
+    "fit_ensembles",
+    "predict_ensembles",
+]
+
+#: Most elements a fused forward pass holds in one hidden layer's
+#: activations (8 MiB of float64).  :class:`EnsembleStack` scores as many
+#: ensembles per pass as fit in it, so a large batch runs in several
+#: passes rather than one whose working set grows with ensembles x rows.
+FUSED_PASS_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -86,9 +105,7 @@ class CrossValidationEnsemble:
     input_scaler: StandardScaler = field(default_factory=StandardScaler, repr=False)
     target_scaler: StandardScaler = field(default_factory=StandardScaler, repr=False)
     _num_outputs: int = 1
-    _stacked: Optional[List[Tuple[np.ndarray, np.ndarray]]] = field(
-        default=None, repr=False, compare=False
-    )
+    _stack: Optional["EnsembleStack"] = field(default=None, repr=False, compare=False)
     #: Incremented by every completed :meth:`fit`; prediction caches keyed
     #: on this generation detect refits and invalidate themselves.
     fit_generation: int = field(default=0, compare=False)
@@ -150,7 +167,7 @@ class CrossValidationEnsemble:
         folds = self._fold_indices(inputs.shape[0])
         self.members = []
         self.fold_results = []
-        self._stacked = None
+        self._stack = None
         layer_sizes = (inputs.shape[1], *self.hidden_layers, self._num_outputs)
         runs = []
         for k in range(self.folds):
@@ -174,26 +191,6 @@ class CrossValidationEnsemble:
     # ------------------------------------------------------------------
     # prediction
     # ------------------------------------------------------------------
-    def _stacked_parameters(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Member weights stacked per layer for one-shot batched prediction.
-
-        Every member shares the same layer structure, so layer ``l``'s
-        weights of all members stack into a ``(members, fan_in, fan_out)``
-        tensor (biases into ``(members, 1, fan_out)``).  A forward pass over
-        the whole ensemble then becomes one batched matmul per layer instead
-        of a Python loop over members.  The stack is built lazily and
-        invalidated by :meth:`fit`.
-        """
-        if self._stacked is None:
-            self._stacked = [
-                (
-                    np.stack([m.weights[layer] for m in self.members], axis=0),
-                    np.stack([m.biases[layer] for m in self.members], axis=0)[:, None, :],
-                )
-                for layer in range(self.members[0].num_layers)
-            ]
-        return self._stacked
-
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Averaged ensemble prediction in natural (unscaled) units.
 
@@ -211,28 +208,25 @@ class CrossValidationEnsemble:
     def predict_batch(self, inputs: np.ndarray) -> np.ndarray:
         """Batched ensemble prediction: ``(batch, features)`` rows in one shot.
 
-        Every member evaluates every row through
-        :func:`~repro.ann.network._feed_forward` over the stacked member
-        parameters, one batched matmul per layer, and the members' scaled
-        outputs are averaged.  Returns a ``(batch,)`` vector for
-        single-output ensembles, ``(batch, outputs)`` otherwise.
+        The one-ensemble call of :class:`EnsembleStack`: every member
+        evaluates every row in one batched matmul per layer, and the
+        members' scaled outputs are averaged.  The stack of one is built
+        on first use and kept until the next fit.  Returns a ``(batch,)``
+        vector for single-output ensembles, ``(batch, outputs)`` otherwise.
         """
-        if not self.trained:
-            raise NotFittedError(
-                "CrossValidationEnsemble is not fitted; call fit(inputs, targets) "
-                "before predict_batch"
-            )
-        inputs = require_batch_matrix(inputs)
-        scaled = self.input_scaler.transform(inputs)
+        if self._stack is None:
+            self._stack = EnsembleStack([self])
+        return self._stack.predict(inputs)[0]
+
+    def _shape(self) -> tuple:
+        """Ensembles with equal shapes stack into one group."""
         reference = self.members[0]
-        member_outputs = _feed_forward(
-            self._stacked_parameters(),
-            scaled[None],  # broadcast the batch to every member
+        return (
+            reference.layer_sizes,
+            len(self.members),
             reference.hidden_activation,
             reference.output_activation,
-        )[-1]
-        output = self.target_scaler.inverse_transform(member_outputs.mean(axis=0))
-        return output.ravel() if self._num_outputs == 1 else output
+        )
 
     def generalization_estimate(self) -> float:
         """Mean held-out-fold MSE (in scaled target units)."""
@@ -284,3 +278,122 @@ def fit_ensembles(
             )
         ensemble.fit_generation += 1
     return [ensemble.fold_results for ensemble in ensembles]
+
+
+class _StackGroup:
+    """Same-shaped ensembles' parameters and scaler statistics, stacked.
+
+    Layer ``l``'s weights stack into ``(ensembles, members, fan_in,
+    fan_out)`` and its biases into ``(ensembles, members, 1, fan_out)``;
+    the scalers' means and deviations into ``(ensembles, 1, columns)``.
+    """
+
+    def __init__(self, ensembles: Sequence[CrossValidationEnsemble], indices: List[int]):
+        self.indices = indices
+        reference = ensembles[0].members[0]
+        self.hidden = reference.hidden_activation
+        self.output = reference.output_activation
+        self.single_output = reference.num_outputs == 1
+        #: Elements per batch row of the widest hidden layer's activations.
+        self.row_elements = len(ensembles[0].members) * max(reference.layer_sizes[1:-1])
+        self.layers = [
+            (
+                np.array([[m.weights[layer] for m in e.members] for e in ensembles]),
+                np.array([[m.biases[layer] for m in e.members] for e in ensembles])[
+                    :, :, None, :
+                ],
+            )
+            for layer in range(reference.num_layers)
+        ]
+
+        def scaler_stack(values):
+            return np.array(values)[:, None, :]
+
+        self.input_mean = scaler_stack([e.input_scaler.mean_ for e in ensembles])
+        self.input_std = scaler_stack([e.input_scaler.std_ for e in ensembles])
+        self.target_mean = scaler_stack([e.target_scaler.mean_ for e in ensembles])
+        self.target_std = scaler_stack([e.target_scaler.std_ for e in ensembles])
+
+    def predict(self, inputs: np.ndarray, outputs: List[Optional[np.ndarray]]) -> None:
+        """Score ``inputs`` with every ensemble of the group into ``outputs``.
+
+        Each pass runs the element-wise steps of
+        :meth:`~repro.ann.scaling.StandardScaler.transform`, the members'
+        mean and :meth:`~repro.ann.scaling.StandardScaler.inverse_transform`
+        over the pass's ensembles at once, and each member's layer is still
+        one ``(batch, fan_in) @ (fan_in, fan_out)`` matmul slice, so every
+        value rounds as in a stack of one.
+        """
+        rows = max(1, inputs.shape[0])
+        per_pass = max(1, FUSED_PASS_ELEMENTS // (self.row_elements * rows))
+        for start in range(0, len(self.indices), per_pass):
+            part = slice(start, start + per_pass)
+            scaled = (inputs - self.input_mean[part]) / self.input_std[part]
+            member_outputs = _feed_forward(
+                [(weights[part], biases[part]) for weights, biases in self.layers],
+                scaled[:, None],  # broadcast each ensemble's rows to its members
+                self.hidden,
+                self.output,
+            )[-1]
+            predicted = (
+                member_outputs.mean(axis=1) * self.target_std[part] + self.target_mean[part]
+            )
+            if self.single_output:
+                predicted = predicted[:, :, 0]
+            for index, values in zip(self.indices[part], predicted):
+                outputs[index] = values
+
+
+class EnsembleStack:
+    """Fitted ensembles stacked for fused prediction on shared rows.
+
+    Ensembles of one shape (layer sizes, member count, activations) form a
+    group whose parameters and scaler statistics are stacked along a
+    leading ensembles axis, so :meth:`predict` scores the whole group with
+    one :func:`~repro.ann.network._feed_forward` (a large batch in several
+    passes, each holding at most ``FUSED_PASS_ELEMENTS`` hidden
+    activations).  Building the stack copies the parameters: a refit does
+    not reach it, so whoever keeps a stack rebuilds it after a fit.
+    """
+
+    def __init__(self, ensembles: Sequence[CrossValidationEnsemble]) -> None:
+        ensembles = list(ensembles)
+        self._count = len(ensembles)
+        shapes: Dict[tuple, List[int]] = {}
+        for index, ensemble in enumerate(ensembles):
+            if not ensemble.trained:
+                raise NotFittedError(
+                    "CrossValidationEnsemble is not fitted; call fit(inputs, targets) "
+                    "before predict_batch"
+                )
+            shapes.setdefault(ensemble._shape(), []).append(index)
+        self._groups = [
+            _StackGroup([ensembles[i] for i in indices], indices)
+            for indices in shapes.values()
+        ]
+
+    def predict(self, inputs: np.ndarray) -> List[np.ndarray]:
+        """Each ensemble's prediction for a ``(batch, features)`` matrix, in order.
+
+        Entry ``i`` is the ``i``-th stacked ensemble's, and equals its
+        ``predict_batch(inputs)`` bit for bit: a ``(batch,)`` vector, or
+        ``(batch, outputs)`` for a multi-output ensemble.
+        """
+        inputs = require_batch_matrix(inputs)
+        outputs: List[Optional[np.ndarray]] = [None] * self._count
+        for group in self._groups:
+            group.predict(inputs, outputs)
+        return outputs  # type: ignore[return-value]
+
+
+def predict_ensembles(
+    ensembles: Sequence[CrossValidationEnsemble], inputs: np.ndarray
+) -> List[np.ndarray]:
+    """Score several fitted ensembles on the same rows in fused passes.
+
+    The one-call form of :class:`EnsembleStack`, which it builds for this
+    call; a caller that scores the same ensembles again keeps the stack, as
+    :class:`repro.core.IPCPredictor` does.  Entry ``i`` equals
+    ``ensembles[i].predict_batch(inputs)`` bit for bit.
+    """
+    return EnsembleStack(ensembles).predict(inputs)

@@ -62,16 +62,19 @@ def _feed_forward(
 
     ``layers`` holds each layer's ``(weights, biases)``.  One network has
     ``(fan_in, fan_out)`` weights, ``(fan_out,)`` biases and a
-    ``(batch, features)`` input.  A stack of same-shaped networks adds a
-    leading members axis to all three (biases ``(members, 1, fan_out)``),
-    and each layer is then one batched matmul over the whole stack.
+    ``(batch, features)`` input.  A stack of same-shaped networks adds
+    leading axes to all three (biases ``(..., 1, fan_out)``) that broadcast
+    against each other, and each layer is then one batched matmul over the
+    whole stack.  Each layer lives in one buffer: the matmul's result, then
+    the bias add and the activation in place.
     """
     activations = [inputs]
     last = len(layers) - 1
     for layer, (weights, biases) in enumerate(layers):
-        pre = activations[-1] @ weights + biases
+        values = activations[-1] @ weights
+        values += biases
         activation = output_activation if layer == last else hidden_activation
-        activations.append(activation.value(pre))
+        activations.append(activation.value(values, out=values))
     return activations
 
 

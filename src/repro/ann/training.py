@@ -312,6 +312,9 @@ def _train_stack(members: List[_Member]) -> List[TrainingHistory]:
     batch = cfg.batch_size if cfg.batch_size > 0 else n_train
     batch = min(batch, n_train)
     layers = _layer_views(params, reference)
+    # Step buffers, reused by every mini-batch step: the gradient and the
+    # update term (``(l2 * mask) * params``, then ``lr * grad``).
+    grad, step = np.empty_like(params), np.empty_like(params)
 
     for epoch in range(cfg.max_epochs):
         if cfg.shuffle:
@@ -329,21 +332,22 @@ def _train_stack(members: List[_Member]) -> List[TrainingHistory]:
             gradients = _backpropagate(
                 layers, activations, epoch_y[:, start : start + batch], hidden, output
             )
-            grad = np.concatenate(
+            np.concatenate(
                 [
                     part.reshape(len(live), -1)
                     for g in gradients
                     for part in (g.weights, g.biases)
                 ],
                 axis=1,
+                out=grad,
             )
             # In place, but in the one-network order: grad + (l2 * mask) *
             # params, then momentum * velocity - lr * grad, then params +
             # velocity, so every element rounds as it does there.
             if l2_mask is not None:
-                grad += l2_mask * params
+                grad += np.multiply(l2_mask, params, out=step)
             velocity *= cfg.momentum
-            velocity -= cfg.learning_rate * grad
+            velocity -= np.multiply(cfg.learning_rate, grad, out=step)
             params += velocity
 
         train_error = _mean_squared_errors(
@@ -378,6 +382,7 @@ def _train_stack(members: List[_Member]) -> List[TrainingHistory]:
             best_error = best_error[keep]
             epochs_since_best = epochs_since_best[keep]
             layers = _layer_views(params, reference)
+            grad, step = grad[: len(live)], step[: len(live)]
 
     for member, parameters in zip(members, best_params):
         member.network.set_parameters(parameters)

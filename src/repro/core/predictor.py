@@ -16,11 +16,19 @@ prediction-based policy.
 Every model has one prediction path, ``predict_batch``: a
 ``(batch, features)`` matrix in, one vector of predictions per target
 configuration out, so a single call scores *all* target configurations for
-*all* pending phases.  A one-sample prediction is a one-row batch
+*all* pending phases.  :meth:`IPCPredictor.predict_batch` scores all its
+ensemble-backed targets together, in the fused forward passes of one
+cached :class:`~repro.ann.ensemble.EnsembleStack` (each target's values
+are bit-for-bit its own ensemble's), and asks every other model on its
+own.  A one-sample prediction is a one-row batch
 (:meth:`IPCPredictor.predict_from_rates`, which the per-phase policy and
 the figures call).  :class:`PredictorBundle` adds an LRU cache keyed on
 quantized counter rates in front of that path — repeated phases with
 near-identical samples skip model evaluation entirely.
+
+Both caches check, on every call, that they were built from the models the
+predictor holds now: the same objects (compared by identity) at the same
+fit generations (see :meth:`IPCPredictor.fit_fingerprint`).
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..ann.ensemble import CrossValidationEnsemble
+from ..ann.ensemble import CrossValidationEnsemble, EnsembleStack
 from ..ann.exceptions import NotFittedError
 from ..ann.network import require_batch_matrix
 from .events import EventSet
@@ -61,13 +69,32 @@ class UnknownEventSetError(KeyError):
         return str(self.args[0]) if self.args else ""
 
 
+#: One entry of :meth:`IPCPredictor.fit_fingerprint`: a target's name,
+#: its model object and the model's fit generation.
+FitEntry = Tuple[str, "ConfigurationModel", int]
+
+
+def _same_fit(a: Optional[Sequence[FitEntry]], b: Sequence[FitEntry]) -> bool:
+    """Whether two fingerprints hold the same model objects at the same fits.
+
+    Models compare by identity: a fingerprint holds its models, so no other
+    object can take one's ``id()`` while it is kept.
+    """
+    return (
+        a is not None
+        and len(a) == len(b)
+        and all(x[0] == y[0] and x[1] is y[1] and x[2] == y[2] for x, y in zip(a, b))
+    )
+
+
 class ConfigurationModel:
     """Interface of a single-target-configuration IPC model."""
 
-    #: Incremented by every refit.  :class:`PredictorBundle` fingerprints
-    #: its members' generations so the shared prediction cache is
-    #: invalidated when any underlying model is retrained (custom models
-    #: that never refit may leave this at 0).
+    #: Incremented by every refit.  :meth:`IPCPredictor.fit_fingerprint`
+    #: records it, so the bundle's shared prediction cache and the
+    #: predictor's fused ensemble stack are rebuilt when any underlying
+    #: model is retrained (custom models that never refit may leave this
+    #: at 0).
     fit_generation: int = 0
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
@@ -189,6 +216,11 @@ class IPCPredictor:
     sample_configuration: str
     models: Dict[str, ConfigurationModel] = field(default_factory=dict)
     kind: str = "ann"
+    #: The fused stack of the ensemble-backed targets: the fingerprint it
+    #: was built at, the targets' names and the stack (see predict_batch).
+    _fused: Optional[Tuple[Tuple[FitEntry, ...], List[str], EnsembleStack]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_ensembles(
@@ -212,17 +244,38 @@ class IPCPredictor:
         """Names of the configurations this predictor can score."""
         return sorted(self.models)
 
-    def fit_fingerprint(self) -> Tuple[Tuple[str, int, int], ...]:
-        """Identity and fit generation of every model, in stable order.
+    def fit_fingerprint(self) -> Tuple[FitEntry, ...]:
+        """Every target's name, model object and fit generation, in stable order.
 
-        The fingerprint changes whenever any underlying model is refit
-        *or replaced by a different model object*, so caches of this
-        predictor's outputs can detect staleness either way.
+        A fingerprint changes whenever any underlying model is refit *or
+        replaced by a different model object*, so caches of this
+        predictor's outputs can detect staleness either way.  It holds the
+        model objects themselves, compared by identity: a replacement
+        cannot pass for a model the fingerprint still holds, even one that
+        was replaced in turn.
         """
         return tuple(
-            (name, id(self.models[name]), int(getattr(self.models[name], "fit_generation", 0)))
-            for name in sorted(self.models)
+            [
+                (name, model, getattr(model, "fit_generation", 0))
+                for name, model in sorted(self.models.items())
+            ]
         )
+
+    def _fused_targets(self) -> Tuple[List[str], EnsembleStack]:
+        """The ensemble-backed targets' names and their current stack.
+
+        The stack is rebuilt whenever :meth:`fit_fingerprint` changes: any
+        model refit, replaced, added or removed.
+        """
+        fingerprint = self.fit_fingerprint()
+        if self._fused is None or not _same_fit(self._fused[0], fingerprint):
+            ensembles = {
+                name: model.ensemble
+                for name, model in self.models.items()
+                if isinstance(model, _EnsembleModel)
+            }
+            self._fused = (fingerprint, list(ensembles), EnsembleStack(list(ensembles.values())))
+        return self._fused[1], self._fused[2]
 
     def feature_vector(
         self, ipc_sample: float, rates: Mapping[str, float]
@@ -251,10 +304,15 @@ class IPCPredictor:
         Returns
         -------
         dict
-            Configuration name to ``(batch,)`` vector of predicted IPCs.
-            An ANN row's prediction can differ in the last bits with the
-            rows batched beside it (BLAS picks its kernel by batch shape),
-            so ``predict_batch(F)[cfg][i]`` equals the one-row
+            Configuration name to ``(batch,)`` vector of predicted IPCs, in
+            the order of :attr:`models`.  Every ensemble-backed target is
+            scored in one cached :class:`~repro.ann.ensemble.EnsembleStack`
+            (fused forward passes over all of them), and each of its
+            vectors equals its own model's ``predict_batch(features)`` bit
+            for bit; every other model is asked on its own.  An ANN row's
+            prediction can differ in the last bits with the rows batched
+            beside it (BLAS picks its kernel by batch shape), so
+            ``predict_batch(F)[cfg][i]`` equals the one-row
             ``predict_batch(F[i:i+1])[cfg][0]`` only up to floating-point
             accumulation order; linear models are bit-identical either way.
         """
@@ -264,8 +322,11 @@ class IPCPredictor:
                 f"expected {self.event_set.num_features} features, "
                 f"got {features.shape[1]}"
             )
+        names, stack = self._fused_targets()
+        fused = dict(zip(names, stack.predict(features)))
         return {
-            name: model.predict_batch(features) for name, model in self.models.items()
+            name: fused[name] if name in fused else model.predict_batch(features)
+            for name, model in self.models.items()
         }
 
     def predict_from_rates(
@@ -401,15 +462,16 @@ class PredictorBundle:
     :meth:`IPCPredictor.predict_batch` call.
 
     Cached entries are only valid for the models that produced them: the
-    cached path fingerprints the members' fit generations and drops the
-    whole cache when any underlying model has been refit since the entries
-    were stored (see :meth:`IPCPredictor.fit_fingerprint`).
+    cached path fingerprints the members' models and fit generations and
+    drops the whole cache when any underlying model has been refit or
+    replaced since the entries were stored (see
+    :meth:`IPCPredictor.fit_fingerprint`).
     """
 
     full: IPCPredictor
     reduced: Optional[IPCPredictor] = None
     cache: PredictionCache = field(default_factory=PredictionCache, repr=False)
-    _cache_fingerprint: Optional[Tuple] = field(
+    _cache_fingerprint: Optional[Tuple[FitEntry, ...]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -437,16 +499,19 @@ class PredictorBundle:
     def _resolve(self, event_set: Optional[str]) -> IPCPredictor:
         return self.full if event_set is None else self.for_event_set(event_set)
 
-    def _current_fingerprint(self) -> Tuple:
-        members = [("full", self.full.fit_fingerprint())]
-        if self.reduced is not None:
-            members.append(("reduced", self.reduced.fit_fingerprint()))
-        return tuple(members)
+    def _current_fingerprint(self) -> Tuple[FitEntry, ...]:
+        fingerprint = self.full.fit_fingerprint()
+        if self.reduced is None:
+            return fingerprint
+        return fingerprint + tuple(
+            (f"reduced/{name}", model, generation)
+            for name, model, generation in self.reduced.fit_fingerprint()
+        )
 
     def _ensure_cache_valid(self) -> None:
-        """Drop cached predictions if any underlying model was refit."""
+        """Drop cached predictions if any underlying model was refit or replaced."""
         fingerprint = self._current_fingerprint()
-        if self._cache_fingerprint != fingerprint:
+        if not _same_fit(self._cache_fingerprint, fingerprint):
             if self._cache_fingerprint is not None and len(self.cache):
                 self.cache.clear()
             self._cache_fingerprint = fingerprint

@@ -387,7 +387,7 @@ class TestJointRefit:
             [features[:, 1] * -5.0 + i for i in range(3)],
         )
         assert [e.fit_generation for e in ensembles] == [2, 2, 2]
-        assert all(e._stacked is None for e in ensembles)
+        assert all(e._stack is None for e in ensembles)
         fresh = bundle.predict_batch_from_rates([(ipc, rates)])[0]
         # The refit dropped the cache, counters included: one fresh miss.
         assert (bundle.cache_info().hits, bundle.cache_info().misses) == (0, 1)

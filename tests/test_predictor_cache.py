@@ -128,6 +128,38 @@ class TestRefitInvalidation:
         fresh = _cached(bundle, ipc, rates)
         assert fresh["2a"] != pytest.approx(stale["2a"])
 
+    def test_a_replacement_at_a_replaced_models_address_invalidates_the_cache(
+        self, trained_bundle, machine, suite
+    ):
+        # Replace a model twice before the next prediction.  The first
+        # replacement frees the model the cache was validated against, and
+        # CPython hands its memory, and so its id(), to a later object of
+        # the same size: a fingerprint of ids would take the second
+        # replacement (same fit_generation) for the validated model.
+        bundle = self._linear_bundle(trained_bundle, machine, suite)
+        phase = suite.get("SP").phases[0]
+        ipc, rates = _sample_for(machine, bundle.full, phase)
+        stale = _cached(bundle, ipc, rates)
+        validated_id = id(bundle.full.models["2a"])
+        rng = np.random.default_rng(23)
+        features = rng.uniform(0.1, 2.0, size=(32, bundle.full.event_set.num_features))
+        coefficients = np.linspace(-0.1, 0.1, bundle.full.event_set.num_features)
+        bundle.full.models["2a"] = LinearIPCModel().fit(features, features[:, 2] * 3.0)
+        allocated = []
+        for _ in range(100):
+            replacement = LinearIPCModel(
+                coefficients=coefficients, intercept=0.03, fit_generation=1
+            )
+            if id(replacement) == validated_id:
+                break
+            allocated.append(replacement)
+        bundle.full.models["2a"] = replacement
+        fresh = _cached(bundle, ipc, rates)
+        assert fresh["2a"] != pytest.approx(stale["2a"])
+        assert fresh["2a"] == pytest.approx(
+            bundle.full.predict_from_rates(*_quantized(bundle, ipc, rates))["2a"]
+        )
+
     def test_fit_generations_are_tracked(self, trained_bundle):
         model = LinearIPCModel()
         assert model.fit_generation == 0
